@@ -20,7 +20,7 @@ func Example() {
 	g.DelEdge(1, 3)
 
 	ctx := xpgraph.NewQueryCtx(0)
-	nbrs := g.NbrsOut(ctx, 1, nil)
+	nbrs := g.Nbrs(ctx, xpgraph.Out, 1, nil)
 	sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
 	fmt.Println(nbrs)
 	// Output: [2]
@@ -46,7 +46,7 @@ func ExampleRecover() {
 		panic(err)
 	}
 	ctx := xpgraph.NewQueryCtx(0)
-	nbrs := recovered.NbrsOut(ctx, 1, nil)
+	nbrs := recovered.Nbrs(ctx, xpgraph.Out, 1, nil)
 	sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
 	fmt.Println(nbrs)
 	// Output: [2 3]
@@ -65,8 +65,8 @@ func ExampleStore_Snapshot() {
 	snap := g.Snapshot(ctx)
 	g.AddEdge(1, 3) // arrives after the snapshot
 
-	old := snap.NbrsOut(ctx, 1, nil)
-	live := g.NbrsOut(ctx, 1, nil)
+	old := xpgraph.Graph{Source: snap}.NbrsOut(ctx, 1, nil)
+	live := g.Nbrs(ctx, xpgraph.Out, 1, nil)
 	fmt.Println(len(old), len(live))
 	// Output: 1 2
 }

@@ -41,8 +41,8 @@ func main() {
 	// and records which NUMA node the querying thread runs on.
 	ctx := xpgraph.NewQueryCtx(0)
 	for v := xpgraph.VID(0); v < 4; v++ {
-		out := g.NbrsOut(ctx, v, nil)
-		in := g.NbrsIn(ctx, v, nil)
+		out := g.Nbrs(ctx, xpgraph.Out, v, nil)
+		in := g.Nbrs(ctx, xpgraph.In, v, nil)
 		fmt.Printf("vertex %d: out=%v in=%v\n", v, out, in)
 	}
 	fmt.Printf("query cost: %v of simulated time\n", ctx.Cost.Duration())

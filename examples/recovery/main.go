@@ -57,7 +57,7 @@ func main() {
 	}
 	ctx := xpgraph.NewQueryCtx(0)
 	for v := xpgraph.VID(0); v < 1<<12; v++ {
-		got := recovered.NbrsOut(ctx, v, nil)
+		got := recovered.Nbrs(ctx, xpgraph.Out, v, nil)
 		if !sameSet(got, ref[v]) {
 			log.Fatalf("vertex %d: recovered %d neighbors, want %d — consistency violated!",
 				v, len(got), len(ref[v]))
@@ -70,7 +70,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("post-recovery update ok; vertex 1 now has %d out-neighbors\n",
-		len(recovered.NbrsOut(ctx, 1, nil)))
+		len(recovered.Nbrs(ctx, xpgraph.Out, 1, nil)))
 }
 
 func dedup(edges []xpgraph.Edge) []xpgraph.Edge {

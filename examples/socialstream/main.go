@@ -62,7 +62,7 @@ func main() {
 			}
 		}
 		ctx := xpgraph.NewQueryCtx(0)
-		followers := len(g.NbrsIn(ctx, topV, nil))
+		followers := len(g.Nbrs(ctx, xpgraph.In, topV, nil))
 		reach := engine.BFS(topV)
 		fmt.Printf("  top influencer: user %d (rank %.5f, %d followers), reaches %d users\n",
 			topV, top, followers, reach.Visited)

@@ -47,7 +47,7 @@ func main() {
 	ctx := xpgraph.NewQueryCtx(0)
 	total := 0
 	for v := xpgraph.VID(0); v < 1<<15; v++ {
-		total += len(s.NbrsOut(ctx, v, nil))
+		total += len(s.Nbrs(ctx, core.Out, v, nil))
 	}
 	fmt.Printf("tiered store serves all %d edges; query sweep cost %v simulated\n",
 		total, ctx.Cost.Duration())

@@ -1,7 +1,7 @@
 // Package analytics implements the graph query workloads of the paper's
 // evaluation (§V-C, Fig. 14): the one-hop neighbor query, BFS, PageRank
-// and Connected Components, all written against a store-agnostic View so
-// they run identically on XPGraph and GraphOne.
+// and Connected Components, all written against the store-agnostic
+// view.Source so they run identically on XPGraph and GraphOne.
 //
 // Parallel queries follow §III-D's CPU-binding strategy: at the start of
 // each computing iteration, vertices are classified by the NUMA node that
@@ -16,13 +16,12 @@ import (
 	"repro/internal/xpsim"
 )
 
-// Engine runs queries over a view.View — the one canonical read
-// surface — with a fixed thread budget. It never sees a concrete store
-// type: a single core.Snapshot and a partitioned cluster.ClusterView
-// run every algorithm identically. (The old `analytics.View` alias is
-// gone; depend on view.View directly.)
+// Engine runs queries over a view.Source — the one read surface — with a
+// fixed thread budget. It never sees a concrete store type: a single
+// core.Snapshot and a partitioned cluster.ClusterView run every
+// algorithm identically.
 type Engine struct {
-	view    view.View
+	view    view.Graph
 	lat     *xpsim.LatencyModel
 	threads int
 	sockets int
@@ -33,11 +32,11 @@ type Engine struct {
 
 // NewEngine builds a query engine. threads is the total query
 // parallelism (the paper uses all 96 hardware threads).
-func NewEngine(view view.View, lat *xpsim.LatencyModel, threads int) *Engine {
+func NewEngine(src view.Source, lat *xpsim.LatencyModel, threads int) *Engine {
 	if threads <= 0 {
 		threads = 1
 	}
-	return &Engine{view: view, lat: lat, threads: threads, sockets: 2, bind: true}
+	return &Engine{view: view.Graph{Source: src}, lat: lat, threads: threads, sockets: 2, bind: true}
 }
 
 // SetSockets tells the engine how many sockets the machine has; threads

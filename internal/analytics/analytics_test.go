@@ -8,6 +8,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/pmem"
+	"repro/internal/prop"
 	"repro/internal/xpsim"
 )
 
@@ -27,31 +28,35 @@ func newMapView(numV graph.VID, edges []graph.Edge) *mapView {
 	return mv
 }
 
+func (m *mapView) adj(d graph.Direction) map[graph.VID][]uint32 {
+	if d == graph.Out {
+		return m.out
+	}
+	return m.in
+}
+
 func (m *mapView) NumVertices() graph.VID { return m.n }
-func (m *mapView) NbrsOut(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	return append(dst, m.out[v]...)
+func (m *mapView) Degree(d graph.Direction, v graph.VID) int {
+	return len(m.adj(d)[v])
 }
-func (m *mapView) NbrsIn(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	return append(dst, m.in[v]...)
-}
-func (m *mapView) VisitOut(ctx *xpsim.Ctx, v graph.VID, fn func(uint32)) {
-	for _, u := range m.out[v] {
-		fn(u)
-	}
-}
-func (m *mapView) VisitIn(ctx *xpsim.Ctx, v graph.VID, fn func(uint32)) {
-	for _, u := range m.in[v] {
-		fn(u)
-	}
-}
-func (m *mapView) OutNode(v graph.VID) int {
+func (m *mapView) Node(d graph.Direction, v graph.VID) int {
 	if m.nodeOfFn != nil {
 		return m.nodeOfFn(v)
 	}
 	return xpsim.NodeUnbound
 }
-func (m *mapView) InNode(v graph.VID) int    { return m.OutNode(v) }
-func (m *mapView) OutDegree(v graph.VID) int { return len(m.out[v]) }
+func (m *mapView) Visit(ctx *xpsim.Ctx, d graph.Direction, v graph.VID, f prop.Filter, fn func(uint32)) error {
+	for _, u := range m.adj(d)[v] {
+		fn(u)
+	}
+	return nil
+}
+func (m *mapView) NbrsChecked(ctx *xpsim.Ctx, d graph.Direction, v graph.VID, dst []uint32) ([]uint32, error) {
+	return append(dst, m.adj(d)[v]...), nil
+}
+func (m *mapView) Label(src, dst graph.VID) (uint16, error)           { return graph.DefaultLabel, nil }
+func (m *mapView) Labels() []string                                   { return []string{""} }
+func (m *mapView) VProp(v graph.VID, key uint16) (int64, bool, error) { return 0, false, nil }
 
 func testLat() *xpsim.LatencyModel {
 	lat := xpsim.DefaultLatency()

@@ -1,43 +1,23 @@
 package analytics
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/prop"
-	"repro/internal/view"
 	"repro/internal/xpsim"
 )
 
 // Typed traversals (DESIGN.md §13). The filter is pushed down into the
-// view layer — VisitOutTyped prunes while the adjacency stream decodes —
+// view layer — a filtered Visit prunes while the adjacency stream decodes —
 // so a pruned vertex never joins the frontier and its adjacency lists
 // are never read at the next hop. That frontier shrinkage, not the
 // per-edge label test, is where a selective filter saves media reads
 // over traverse-all-then-filter (the BENCH_9 gate measures exactly
 // this).
 
-// ErrNoTypedView reports a typed traversal over a view that does not
-// implement the typed surface (e.g. the GraphOne baseline).
-var ErrNoTypedView = fmt.Errorf("analytics: view has no typed read surface")
-
-// typedView asserts the engine's view up to the typed surface.
-func (e *Engine) typedView() (view.Full, error) {
-	tv, ok := e.view.(view.Full)
-	if !ok {
-		return nil, ErrNoTypedView
-	}
-	return tv, nil
-}
-
 // KHopFiltered is KHop expanding only edges that pass f: an edge is
 // followed when its label is in f.Types and its destination passes the
 // property predicate. With an empty filter it degenerates to KHop.
 func (e *Engine) KHopFiltered(root graph.VID, k int, f prop.Filter) (KHopResult, error) {
-	tv, err := e.typedView()
-	if err != nil {
-		return KHopResult{}, err
-	}
 	if err := f.Validate(); err != nil {
 		return KHopResult{}, err
 	}
@@ -53,7 +33,7 @@ func (e *Engine) KHopFiltered(root graph.VID, k int, f prop.Filter) (KHopResult,
 		var next []graph.VID
 		var verr error
 		ns := e.parRun(e.classify(frontier, e.view.OutNode), func(ctx *xpsim.Ctx, v graph.VID) {
-			err := tv.VisitOutTyped(ctx, v, f, func(nb uint32, _ uint16) {
+			err := e.view.Visit(ctx, graph.Out, v, f, func(nb uint32) {
 				e.lat.CPU(ctx, 2)
 				if nb < uint32(numV) && !visited[nb] {
 					visited[nb] = true
@@ -88,10 +68,6 @@ type PathResult struct {
 // edges passing f, exploring at most maxDepth hops. The same pushdown
 // applies: pruned edges never extend the search frontier.
 func (e *Engine) Path(root, target graph.VID, maxDepth int, f prop.Filter) (PathResult, error) {
-	tv, err := e.typedView()
-	if err != nil {
-		return PathResult{}, err
-	}
 	if err := f.Validate(); err != nil {
 		return PathResult{}, err
 	}
@@ -114,7 +90,7 @@ func (e *Engine) Path(root, target graph.VID, maxDepth int, f prop.Filter) (Path
 		var next []graph.VID
 		var verr error
 		ns := e.parRun(e.classify(frontier, e.view.OutNode), func(ctx *xpsim.Ctx, v graph.VID) {
-			err := tv.VisitOutTyped(ctx, v, f, func(nb uint32, _ uint16) {
+			err := e.view.Visit(ctx, graph.Out, v, f, func(nb uint32) {
 				e.lat.CPU(ctx, 2)
 				if nb < uint32(numV) && parent[nb] == noParent {
 					parent[nb] = uint32(v)

@@ -340,7 +340,7 @@ func fig14(cfg Config) (Table, error) {
 		edges := edgesFor(ds, cfg)
 		type prep struct {
 			name string
-			view view.View
+			view view.Source
 			lat  *xpsim.LatencyModel
 		}
 		var preps []prep

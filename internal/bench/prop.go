@@ -162,7 +162,7 @@ func propExp(cfg Config) (Table, error) {
 		roots := propRootsFor(ds.NumVertices())
 
 		// Filtered 2-hop on a typed store: the hot-label predicate rides
-		// down into VisitOutTyped.
+		// down into the filtered Visit.
 		sF, mF, typedRep, err := buildTypedStore(edges, labels, ds, cfg)
 		if err != nil {
 			return Table{}, fmt.Errorf("prop: typed build: %w", err)

@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 )
@@ -169,5 +171,34 @@ func TestZeroPlanDelivers(t *testing.T) {
 		if v, _ := z.Fate(Link{0, 0}, seq, 1); v != Deliver {
 			t.Fatal("zero plan must deliver")
 		}
+	}
+}
+
+// TestFateGolden pins the fault schedule of a fixed plan — every
+// verdict and delay, and the derived partition windows — to recorded
+// values, so a change to the random source cannot silently reshuffle a
+// replayed chaos seed.
+func TestFateGolden(t *testing.T) {
+	links := []Link{{0, 0}, {1, 0}, {2, 1}}
+	p := &Plan{
+		Seed:       0xC0FFEE,
+		DropProb:   0.1,
+		DupProb:    0.05,
+		DelayProb:  0.2,
+		DelayMax:   time.Millisecond,
+		Partitions: RandomPartitions(0xC0FFEE, links, 2, 16, 256),
+	}
+	h := fnv.New64a()
+	fmt.Fprint(h, p.Partitions)
+	for _, l := range links {
+		for seq := uint64(1); seq <= 300; seq++ {
+			for attempt := 1; attempt <= 2; attempt++ {
+				v, d := p.Fate(l, seq, attempt)
+				fmt.Fprint(h, v, d, ";")
+			}
+		}
+	}
+	if got, want := h.Sum64(), uint64(0xbdb0d67a22462622); got != want {
+		t.Fatalf("fate schedule hash = %#x, want %#x", got, want)
 	}
 }

@@ -29,6 +29,8 @@ import (
 	"repro/internal/graph"
 	"repro/internal/pmem"
 	"repro/internal/prop"
+	"repro/internal/rng"
+	"repro/internal/view"
 	"repro/internal/xpsim"
 )
 
@@ -68,18 +70,9 @@ func (r Result) String() string {
 		r.Rep.Dedupes, r.Rep.Reorders, r.Rep.Resyncs, r.Rep.LogReplays, r.Rep.SnapReplays)
 }
 
-// mix is splitmix64 — the repo's deterministic seed-expansion step.
-func mix(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	z := x
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // frac maps one seed draw onto [0, hi).
 func frac(seed, term uint64, hi float64) float64 {
-	return float64(mix(seed^term)%(1<<20)) / float64(1<<20) * hi
+	return float64(rng.Draw(seed^term)%(1<<20)) / float64(1<<20) * hi
 }
 
 // derivePlan expands one seed into a chaos plan over the cluster's
@@ -92,10 +85,10 @@ func derivePlan(seed uint64, links []chaos.Link, horizon uint64) *chaos.Plan {
 		DropProb:  frac(seed, 0x1, 0.12),
 		DupProb:   frac(seed, 0x2, 0.08),
 		DelayProb: frac(seed, 0x3, 0.15),
-		DelayMax:  200*time.Microsecond + time.Duration(mix(seed^0x4)%uint64(600*time.Microsecond)),
+		DelayMax:  200*time.Microsecond + time.Duration(rng.Draw(seed^0x4)%uint64(600*time.Microsecond)),
 	}
-	nPart := int(1 + mix(seed^0x5)%3)
-	length := 4 + mix(seed^0x6)%24
+	nPart := int(1 + rng.Draw(seed^0x5)%3)
+	length := 4 + rng.Draw(seed^0x6)%24
 	p.Partitions = chaos.RandomPartitions(seed, links, nPart, length, horizon)
 	return p
 }
@@ -194,7 +187,7 @@ func Run(o Options) (Result, error) {
 	tEdges := make([]graph.Edge, typedN)
 	tLabels := make([]uint16, typedN)
 	for i := range tEdges {
-		h := mix(o.Seed ^ 0x100 ^ uint64(i))
+		h := rng.Draw(o.Seed ^ 0x100 ^ uint64(i))
 		tEdges[i] = graph.Edge{Src: uint32(h % 256), Dst: 256 + uint32(h>>32)%256}
 		if h&1 == 0 {
 			tLabels[i] = follows
@@ -204,7 +197,7 @@ func Run(o Options) (Result, error) {
 	}
 	props := make([]graph.PropSet, 256)
 	for v := range props {
-		props[v] = graph.PropSet{V: uint32(v), Key: 1, Val: int64(mix(o.Seed^0x200^uint64(v)) % 100)}
+		props[v] = graph.PropSet{V: uint32(v), Key: 1, Val: int64(rng.Draw(o.Seed^0x200^uint64(v)) % 100)}
 	}
 
 	// Interleave the three streams through the cluster and the
@@ -247,7 +240,7 @@ func Run(o Options) (Result, error) {
 	// Heal the fabric and ship one more batch through a now-perfect
 	// network: every follower must converge from here.
 	plan.Heal()
-	tail := gen.Uniform(256, 300, mix(o.Seed^0x300))
+	tail := gen.Uniform(256, 300, rng.Draw(o.Seed^0x300))
 	if _, err := cl.Ingest(tail, true); err != nil {
 		return fail("post-heal ingest: %v", err)
 	}
@@ -315,7 +308,7 @@ func Run(o Options) (Result, error) {
 	// Differential 3: kill one seed-chosen leader; its partition now
 	// serves from a chaos-survivor follower and the view must still
 	// answer exactly what the reference does.
-	cl.KillShard(int(mix(o.Seed^0x400) % uint64(cl.Shards())))
+	cl.KillShard(int(rng.Draw(o.Seed^0x400) % uint64(cl.Shards())))
 	if err := compareView(cl, ref); err != nil {
 		return fail("post-leader-kill view vs reference: %v", err)
 	}
@@ -339,11 +332,11 @@ func compareView(cl *cluster.Cluster, ref *core.Store) error {
 		if err := sameSet("in", v, cv.NbrsIn(ctx, v, nil), ref.Nbrs(ctx, core.In, v, nil)); err != nil {
 			return err
 		}
-		got, err := typedOut(cv.VisitOutTyped, v)
+		got, err := typedOut(cv, v)
 		if err != nil {
 			return err
 		}
-		want, err := typedOut(ref.VisitOutTyped, v)
+		want, err := typedOut(ref, v)
 		if err != nil {
 			return err
 		}
@@ -385,11 +378,11 @@ func compareStores(cl *cluster.Cluster, shardID int, leader, rep *core.Store) er
 		if err := sameSet("out", v, rep.Nbrs(ctx, core.Out, v, nil), leader.Nbrs(ctx, core.Out, v, nil)); err != nil {
 			return err
 		}
-		got, err := typedOut(rep.VisitOutTyped, v)
+		got, err := typedOut(rep, v)
 		if err != nil {
 			return err
 		}
-		want, err := typedOut(leader.VisitOutTyped, v)
+		want, err := typedOut(leader, v)
 		if err != nil {
 			return err
 		}
@@ -411,11 +404,20 @@ func compareStores(cl *cluster.Cluster, shardID int, leader, rep *core.Store) er
 	return nil
 }
 
-func typedOut(visit func(*xpsim.Ctx, graph.VID, prop.Filter, func(uint32, uint16)) error, v graph.VID) (map[uint32]uint16, error) {
+// typedOut maps v's out-neighbors to their edge labels.
+func typedOut(src view.Source, v graph.VID) (map[uint32]uint16, error) {
 	out := map[uint32]uint16{}
-	err := visit(xpsim.NewCtx(xpsim.NodeUnbound), v, prop.Filter{}, func(nbr uint32, lbl uint16) {
+	var lerr error
+	err := src.Visit(xpsim.NewCtx(xpsim.NodeUnbound), graph.Out, v, prop.Filter{}, func(nbr uint32) {
+		lbl, err := src.Label(v, nbr)
+		if err != nil && lerr == nil {
+			lerr = err
+		}
 		out[nbr] = lbl
 	})
+	if err == nil {
+		err = lerr
+	}
 	return out, err
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // Replay and scale knobs. A failing sweep prints the exact command to
@@ -36,7 +38,7 @@ func TestChaosDifferential(t *testing.T) {
 		// nightly varies it by widening the sweep, not the base.
 		const base = 0xC4A0_5EED
 		for i := 0; i < *sweepFlag; i++ {
-			seeds = append(seeds, mix(base+uint64(i)))
+			seeds = append(seeds, rng.Draw(base+uint64(i)))
 		}
 	}
 	for _, seed := range seeds {

@@ -13,7 +13,7 @@
 //     replicas in application order (log shipping at batch granularity),
 //     so followers converge on edge-for-edge identical views;
 //   - reads: ClusterView pins one publication per shard (leader, or the
-//     best replica once a shard is down) and implements view.Full over
+//     best replica once a shard is down) and implements view.Source over
 //     the resulting epoch vector, so analytics and the HTTP handlers
 //     cannot tell one store from sixteen.
 //

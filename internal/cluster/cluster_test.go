@@ -165,7 +165,7 @@ func TestClusterDifferential(t *testing.T) {
 	}
 
 	// Whole-graph algorithms over the two views, through the identical
-	// view.View interface the analytics engine requires.
+	// view.Source interface the analytics engine requires.
 	lm := xpsim.DefaultLatency()
 	refEng := analytics.NewEngine(rv, &lm, 4)
 	clEng := analytics.NewEngine(cv, &lm, 4)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/prop"
+	"repro/internal/rng"
 	"repro/internal/view"
 	"repro/internal/xpsim"
 )
@@ -56,17 +57,7 @@ type shipMsg struct {
 // tag does not match its claimed seq was corrupted or misrouted and is
 // discarded on receive.
 func chunkID(shard int, seq uint64) uint64 {
-	return splitmix64(uint64(uint32(shard))<<48 ^ seq)
-}
-
-// splitmix64 is the repo's deterministic PRNG step (backoff jitter and
-// chunk ids here).
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	z := x
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return rng.Draw(uint64(uint32(shard))<<48 ^ seq)
 }
 
 // rstate is a replica's serving state (DESIGN.md §14.3).
@@ -567,7 +558,7 @@ func (r *Replica) snapshotResync() error {
 	if err != nil {
 		return fmt.Errorf("provisioning rebuild store: %w", err)
 	}
-	src := view.GuardFull(p.snap, &r.sh.mu)
+	src := view.Graph{Source: view.Guard(p.snap, &r.sh.mu)}
 
 	leader := r.sh.store
 	if fresh.PropsEnabled() && leader.PropsEnabled() {
@@ -647,7 +638,7 @@ func (r *Replica) acquire() *published {
 // View pins the replica's current publication and returns a guarded
 // read view over it plus the shipped epoch it represents. Release the
 // view by calling the returned release func. Test and failover surface.
-func (r *Replica) View() (v view.Full, epoch uint64, release func()) {
+func (r *Replica) View() (v view.Graph, epoch uint64, release func()) {
 	p := r.acquire()
-	return view.GuardFull(p.snap, &r.mu), p.epoch, p.unref
+	return view.Graph{Source: view.Guard(p.snap, &r.mu)}, p.epoch, p.unref
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ingest"
+	"repro/internal/rng"
 	"repro/internal/xpsim"
 )
 
@@ -67,7 +68,7 @@ type ShipCounters struct {
 // The store itself is not goroutine-safe; mu orders the pipeline's write
 // windows against snapshot reads exactly as the single-store server's
 // stateMu did. All reads of the shard go through a pinned publication
-// wrapped in view.GuardFull(pub.snap, &sh.mu).
+// wrapped in view.Guard(pub.snap, &sh.mu).
 type Shard struct {
 	id    int
 	store *core.Store
@@ -229,7 +230,7 @@ func (sh *Shard) backoff(seq uint64, attempt int) time.Duration {
 	if d > sh.shipBackoffMax {
 		d = sh.shipBackoffMax
 	}
-	h := splitmix64(uint64(uint32(sh.id))<<40 ^ seq<<8 ^ uint64(attempt))
+	h := rng.Draw(uint64(uint32(sh.id))<<40 ^ seq<<8 ^ uint64(attempt))
 	return d/2 + time.Duration(h%uint64(d/2+1))
 }
 

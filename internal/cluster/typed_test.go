@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/pmem"
 	"repro/internal/prop"
+	"repro/internal/view"
 	"repro/internal/xpsim"
 )
 
@@ -70,12 +71,14 @@ func typedWorkload(follows, blocks uint16) ([]graph.Edge, []uint16, []graph.Prop
 }
 
 // typedOutOf collects v's filtered out-neighbors as a nbr→label map.
-func typedOutOf(t *testing.T, tv interface {
-	VisitOutTyped(*xpsim.Ctx, graph.VID, prop.Filter, func(uint32, uint16)) error
-}, v graph.VID, f prop.Filter) map[uint32]uint16 {
+func typedOutOf(t *testing.T, src view.Source, v graph.VID, f prop.Filter) map[uint32]uint16 {
 	t.Helper()
 	got := map[uint32]uint16{}
-	err := tv.VisitOutTyped(xpsim.NewCtx(xpsim.NodeUnbound), v, f, func(nbr uint32, lbl uint16) {
+	err := src.Visit(xpsim.NewCtx(xpsim.NodeUnbound), graph.Out, v, f, func(nbr uint32) {
+		lbl, err := src.Label(v, nbr)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got[nbr] = lbl
 	})
 	if err != nil {

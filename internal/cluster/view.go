@@ -10,18 +10,17 @@ import (
 	"repro/internal/xpsim"
 )
 
-// Compile-time proof that a snapshot satisfies the full serving
-// contract — the ClusterView delegates to per-shard snapshots through
-// exactly this interface.
+// Compile-time proof that a snapshot is a read source — the ClusterView
+// delegates to per-shard snapshots through exactly this interface.
 var (
-	_ view.Full = (*core.Snapshot)(nil)
-	_ view.Full = (*ClusterView)(nil)
+	_ view.Source = (*core.Snapshot)(nil)
+	_ view.Source = (*ClusterView)(nil)
 )
 
-// PartitionDownError is returned by checked reads of a partition whose
-// leader is down and which has no live replica to fail over to. The
-// unchecked algorithm surface returns empty results for such a partition
-// instead (analytics is health-gated at the HTTP layer, so this only
+// PartitionDownError is returned by reads of a partition whose leader is
+// down and which has no live replica to fail over to. The unchecked
+// algorithm surface of view.Graph drops it, so such a partition reads as
+// empty there (analytics is health-gated at the HTTP layer, so this only
 // shows up when the gate is bypassed deliberately).
 type PartitionDownError struct {
 	Shard int
@@ -33,10 +32,11 @@ func (e *PartitionDownError) Error() string {
 
 // ClusterView is one consistent read view of the whole cluster: one
 // pinned snapshot publication per partition, read through that
-// partition's guard so every access is ordered against its writer. It
-// implements view.Full, which is the entire point of the API redesign —
-// the HTTP handlers and the analytics engine run over a 4-shard cluster
-// through the same interface they run over a single snapshot.
+// partition's guard so every access is ordered against its writer. It is
+// a view.Source, so the HTTP handlers and the analytics engine run over a
+// 4-shard cluster through the same interface they run over a single
+// snapshot; the embedded view.Graph (over the view itself) supplies the
+// direction-fixed conveniences.
 //
 // Consistency model: the view is per-shard consistent, cross-shard
 // loose. Each partition is served at exactly one epoch (the pinned
@@ -50,9 +50,10 @@ func (e *PartitionDownError) Error() string {
 // sources are nil and reads of it degrade (empty / typed error), while
 // every other partition keeps serving.
 type ClusterView struct {
+	view.Graph
 	c    *Cluster
-	pins []*published // per shard; nil when the partition is unservable
-	srcs []view.Full  // guarded views over pins; nil when unservable
+	pins []*published  // per shard; nil when the partition is unservable
+	srcs []view.Source // guarded views over pins; nil when unservable
 	// epochs is the pinned epoch vector: the publication epoch each
 	// partition is served at (0 for an unservable partition).
 	epochs []uint64
@@ -84,19 +85,20 @@ func (c *Cluster) AcquireView() *ClusterView {
 	cv := &ClusterView{
 		c:      c,
 		pins:   make([]*published, len(c.shards)),
-		srcs:   make([]view.Full, len(c.shards)),
+		srcs:   make([]view.Source, len(c.shards)),
 		epochs: make([]uint64, len(c.shards)),
 	}
+	cv.Graph = view.Graph{Source: cv}
 	for i, sh := range c.shards {
 		if !sh.down.Load() {
 			p := sh.acquire()
 			cv.pins[i] = p
-			cv.srcs[i] = view.GuardFull(p.snap, &sh.mu)
+			cv.srcs[i] = view.Guard(p.snap, &sh.mu)
 			cv.epochs[i] = p.epoch
 		} else if r := bestReplica(sh); r != nil {
 			p := r.acquire()
 			cv.pins[i] = p
-			cv.srcs[i] = view.GuardFull(p.snap, &r.mu)
+			cv.srcs[i] = view.Guard(p.snap, &r.mu)
 			cv.epochs[i] = p.epoch
 		}
 		if s := cv.srcs[i]; s != nil {
@@ -127,137 +129,157 @@ func (cv *ClusterView) EpochVector() []uint64 { return cv.epochs }
 // X-Snapshot-Epoch header carries.
 func (cv *ClusterView) Epoch() uint64 { return EpochScalar(cv.epochs) }
 
-// owner returns the source serving v's owner partition (nil when that
-// partition is unservable).
-func (cv *ClusterView) owner(v graph.VID) view.Full {
-	return cv.srcs[cv.c.pmap.Owner(v)]
+// owner returns the source serving v's owner partition, or a
+// PartitionDownError when that partition is unservable.
+func (cv *ClusterView) owner(v graph.VID) (view.Source, error) {
+	o := cv.c.pmap.Owner(v)
+	if s := cv.srcs[o]; s != nil {
+		return s, nil
+	}
+	return nil, &PartitionDownError{Shard: o}
 }
 
-// ---- view.View ----
+// ---- view.Source ----
 
 // NumVertices is the max over partitions, captured at acquire time:
 // vertex IDs are global, and every shard's store spans the same ID
 // space (a shard simply holds no records for vertices it does not own).
 func (cv *ClusterView) NumVertices() graph.VID { return cv.numV }
 
-// NbrsOut reads v's out-neighbors from its owner partition — edges
-// partition by source, so one shard holds all of them.
-func (cv *ClusterView) NbrsOut(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	s := cv.owner(v)
-	if s == nil {
-		return dst[:0]
-	}
-	return s.NbrsOut(ctx, v, dst)
-}
-
-// NbrsIn unions v's in-neighbors across every partition: an edge (u,v)
-// is recorded with u's owner, so v's in-records scatter. Concatenation
-// preserves multi-edge multiplicity exactly like a single store; only
-// the order differs (per-shard runs instead of global arrival order).
-func (cv *ClusterView) NbrsIn(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	out := dst[:0]
-	for _, s := range cv.srcs {
-		if s == nil {
-			continue
+// Degree is the owner partition's stored out-record count, or v's
+// in-record count summed over every servable partition.
+func (cv *ClusterView) Degree(d graph.Direction, v graph.VID) int {
+	if d == graph.Out {
+		if s, err := cv.owner(v); err == nil {
+			return s.Degree(d, v)
 		}
-		nbrs := s.NbrsIn(ctx, v, nil)
-		out = append(out, nbrs...)
-	}
-	return out
-}
-
-// VisitOut streams v's out-neighbors from its owner partition.
-func (cv *ClusterView) VisitOut(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) {
-	if s := cv.owner(v); s != nil {
-		s.VisitOut(ctx, v, fn)
-	}
-}
-
-// VisitIn streams v's in-neighbors from every partition in shard order.
-// Each per-shard guard materializes under its own lock and calls back
-// unlocked, so no lock is held across fn.
-func (cv *ClusterView) VisitIn(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) {
-	for _, s := range cv.srcs {
-		if s != nil {
-			s.VisitIn(ctx, v, fn)
-		}
-	}
-}
-
-// OutNode reports the NUMA node of v's out-adjacency on its owner
-// partition's machine (partitions are separate machines; the node index
-// is only meaningful for binding queries on that shard).
-func (cv *ClusterView) OutNode(v graph.VID) int {
-	s := cv.owner(v)
-	if s == nil {
-		return xpsim.NodeUnbound
-	}
-	return s.OutNode(v)
-}
-
-// InNode reports v's in-adjacency node on its owner partition. In a
-// cluster the in-records scatter, so this is a placement hint, not a
-// location.
-func (cv *ClusterView) InNode(v graph.VID) int {
-	s := cv.owner(v)
-	if s == nil {
-		return xpsim.NodeUnbound
-	}
-	return s.InNode(v)
-}
-
-// OutDegree is the owner partition's stored out-record count.
-func (cv *ClusterView) OutDegree(v graph.VID) int {
-	s := cv.owner(v)
-	if s == nil {
 		return 0
 	}
-	return s.OutDegree(v)
-}
-
-// ---- view.Checked + InDegree ----
-
-// NbrsOutChecked is the media-checked owner-partition read; it fails
-// typed when the owner partition is unservable.
-func (cv *ClusterView) NbrsOutChecked(ctx *xpsim.Ctx, v graph.VID, dst []uint32) ([]uint32, error) {
-	o := cv.c.pmap.Owner(v)
-	s := cv.srcs[o]
-	if s == nil {
-		return nil, &PartitionDownError{Shard: o}
+	n := 0
+	for _, s := range cv.srcs {
+		if s != nil {
+			n += s.Degree(d, v)
+		}
 	}
-	return s.NbrsOutChecked(ctx, v, dst)
+	return n
 }
 
-// NbrsInChecked unions the media-checked in-reads across partitions;
-// the first media error (or unservable partition) fails the read, named.
-func (cv *ClusterView) NbrsInChecked(ctx *xpsim.Ctx, v graph.VID, dst []uint32) ([]uint32, error) {
-	out := dst[:0]
+// Node reports the NUMA node of v's d-adjacency on its owner partition's
+// machine (partitions are separate machines; the node index is only
+// meaningful for binding queries on that shard). In a cluster the
+// in-records scatter, so for In it is a placement hint, not a location.
+func (cv *ClusterView) Node(d graph.Direction, v graph.VID) int {
+	s, err := cv.owner(v)
+	if err != nil {
+		return xpsim.NodeUnbound
+	}
+	return s.Node(d, v)
+}
+
+// Visit streams v's d-neighbors that pass f. Out-reads go to v's owner
+// partition — edges partition by source, so one shard holds all of them.
+// In-reads run over every partition in shard order: an edge (u,v) is
+// recorded with u's owner, so v's in-records scatter; concatenation
+// preserves multi-edge multiplicity exactly like a single store, only
+// the order differs. Each per-shard guard materializes under its own
+// lock and calls back unlocked, so no lock is held across fn. An
+// unservable or failing partition fails the read, named, after the
+// servable ones have been streamed.
+func (cv *ClusterView) Visit(ctx *xpsim.Ctx, d graph.Direction, v graph.VID, f prop.Filter, fn func(nbr uint32)) error {
+	if d == graph.Out {
+		s, err := cv.owner(v)
+		if err != nil {
+			return err
+		}
+		return cv.visitOut(ctx, s, v, f, fn)
+	}
+	var first error
+	for i, s := range cv.srcs {
+		var err error
+		if s == nil {
+			err = &PartitionDownError{Shard: i}
+		} else if err = s.Visit(ctx, d, v, f, fn); err != nil {
+			err = &ShardError{Shard: i, Err: err}
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// visitOut is the owner-partition out-visit. The label half of the
+// filter pushes down to v's owner — edge labels live with the edge — but
+// a neighbor's property column lives with the NEIGHBOR's owner, so the
+// vertex predicate routes each surviving neighbor through the
+// cluster-level property read. (In-reads need no routing: an in-neighbor
+// u and its properties both live with u's owner.)
+func (cv *ClusterView) visitOut(ctx *xpsim.Ctx, s view.Source, v graph.VID, f prop.Filter, fn func(nbr uint32)) error {
+	if f.Op == prop.OpNone {
+		return s.Visit(ctx, graph.Out, v, f, fn)
+	}
+	// A filtered visit fails closed on the owner's columns even when the
+	// label half is empty and no neighbor property gets read.
+	if _, _, err := s.VProp(v, f.Key); err != nil {
+		return err
+	}
+	var verr error
+	err := s.Visit(ctx, graph.Out, v, prop.Filter{Types: f.Types}, func(nbr uint32) {
+		if verr != nil {
+			return
+		}
+		keep := f.MatchVertex(func(key uint16) (int64, bool) {
+			val, ok, perr := cv.VProp(graph.VID(nbr), key)
+			if perr != nil {
+				verr = perr
+				return 0, false
+			}
+			return val, ok
+		})
+		if verr == nil && keep {
+			fn(nbr)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	return verr
+}
+
+// NbrsChecked is the media-checked read: the owner partition for Out,
+// every partition appended in shard order for In, each decoding straight
+// into dst under its shard's lock. An unservable partition or a media
+// error fails the read, named, and returns dst as passed.
+func (cv *ClusterView) NbrsChecked(ctx *xpsim.Ctx, d graph.Direction, v graph.VID, dst []uint32) ([]uint32, error) {
+	if d == graph.Out {
+		s, err := cv.owner(v)
+		if err != nil {
+			return dst, err
+		}
+		return s.NbrsChecked(ctx, d, v, dst)
+	}
+	out := dst
 	for i, s := range cv.srcs {
 		if s == nil {
-			return nil, &PartitionDownError{Shard: i}
+			return dst, &PartitionDownError{Shard: i}
 		}
-		nbrs, err := s.NbrsInChecked(ctx, v, nil)
-		if err != nil {
-			return nil, &ShardError{Shard: i, Err: err}
+		var err error
+		if out, err = s.NbrsChecked(ctx, d, v, out); err != nil {
+			return dst, &ShardError{Shard: i, Err: err}
 		}
-		out = append(out, nbrs...)
 	}
 	return out, nil
 }
 
-// InDegree sums v's stored in-record count over every servable
-// partition.
-func (cv *ClusterView) InDegree(v graph.VID) int {
-	d := 0
-	for _, s := range cv.srcs {
-		if s != nil {
-			d += s.InDegree(v)
-		}
+// Label reads edge (src, dst)'s label from src's owner partition, where
+// the edge lives.
+func (cv *ClusterView) Label(src, dst graph.VID) (uint16, error) {
+	s, err := cv.owner(src)
+	if err != nil {
+		return 0, err
 	}
-	return d
+	return s.Label(src, dst)
 }
-
-// ---- view.Typed ----
 
 // Labels reads the label table from the first servable partition: label
 // registration broadcasts (id, name) to every shard and its replicas, so
@@ -271,77 +293,12 @@ func (cv *ClusterView) Labels() []string {
 	return []string{""}
 }
 
-// LabelID resolves a label name on the first servable partition.
-func (cv *ClusterView) LabelID(name string) (uint16, bool) {
-	for _, s := range cv.srcs {
-		if s != nil {
-			return s.LabelID(name)
-		}
-	}
-	return 0, false
-}
-
 // VProp reads vertex v's property from its owner partition — property
 // writes route with the owner shard, so one shard holds the value.
 func (cv *ClusterView) VProp(v graph.VID, key uint16) (int64, bool, error) {
-	o := cv.c.pmap.Owner(v)
-	s := cv.srcs[o]
-	if s == nil {
-		return 0, false, &PartitionDownError{Shard: o}
+	s, err := cv.owner(v)
+	if err != nil {
+		return 0, false, err
 	}
 	return s.VProp(v, key)
-}
-
-// VisitOutTyped streams v's filtered out-neighbors from its owner
-// partition. The label half of the filter pushes down to v's owner —
-// edge labels live with the edge — but a neighbor's property column
-// lives with the NEIGHBOR's owner, so the vertex predicate routes each
-// surviving neighbor through the cluster-level property read. An
-// unservable partition fails the read typed (it is a checked read).
-func (cv *ClusterView) VisitOutTyped(ctx *xpsim.Ctx, v graph.VID, f prop.Filter, fn func(nbr uint32, lbl uint16)) error {
-	o := cv.c.pmap.Owner(v)
-	s := cv.srcs[o]
-	if s == nil {
-		return &PartitionDownError{Shard: o}
-	}
-	if f.Op == prop.OpNone {
-		return s.VisitOutTyped(ctx, v, f, fn)
-	}
-	var verr error
-	err := s.VisitOutTyped(ctx, v, prop.Filter{Types: f.Types}, func(nbr uint32, lbl uint16) {
-		if verr != nil {
-			return
-		}
-		keep := f.MatchVertex(func(key uint16) (int64, bool) {
-			val, ok, perr := cv.VProp(graph.VID(nbr), key)
-			if perr != nil {
-				verr = perr
-				return 0, false
-			}
-			return val, ok
-		})
-		if verr == nil && keep {
-			fn(nbr, lbl)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	return verr
-}
-
-// VisitInTyped unions the filtered in-reads across partitions — an edge
-// (u,v) and its label both live with u's owner, so each shard filters
-// the in-records it holds. The first failing partition fails the read,
-// named.
-func (cv *ClusterView) VisitInTyped(ctx *xpsim.Ctx, v graph.VID, f prop.Filter, fn func(nbr uint32, lbl uint16)) error {
-	for i, s := range cv.srcs {
-		if s == nil {
-			return &PartitionDownError{Shard: i}
-		}
-		if err := s.VisitInTyped(ctx, v, f, fn); err != nil {
-			return &ShardError{Shard: i, Err: err}
-		}
-	}
-	return nil
 }

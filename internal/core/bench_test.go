@@ -49,6 +49,6 @@ func BenchmarkQueryNbrs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = s.NbrsOut(ctx, graph.VID(i)&((1<<14)-1), dst[:0])
+		dst = s.Nbrs(ctx, Out, graph.VID(i)&((1<<14)-1), dst[:0])
 	}
 }

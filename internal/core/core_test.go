@@ -10,6 +10,8 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mem"
 	"repro/internal/pmem"
+	"repro/internal/prop"
+	"repro/internal/view"
 	"repro/internal/xpsim"
 )
 
@@ -80,10 +82,10 @@ func checkAgainstReference(t *testing.T, s *Store, ref *reference, numV graph.VI
 	t.Helper()
 	ctx := xpsim.NewCtx(0)
 	for v := graph.VID(0); v < numV; v++ {
-		if got, want := s.NbrsOut(ctx, v, nil), ref.out[v]; !sameMultiset(got, want) {
+		if got, want := s.Nbrs(ctx, Out, v, nil), ref.out[v]; !sameMultiset(got, want) {
 			t.Fatalf("vertex %d out: got %d nbrs %v, want %d %v", v, len(got), got, len(want), want)
 		}
-		if got, want := s.NbrsIn(ctx, v, nil), ref.in[v]; !sameMultiset(got, want) {
+		if got, want := s.Nbrs(ctx, In, v, nil), ref.in[v]; !sameMultiset(got, want) {
 			t.Fatalf("vertex %d in: got %d nbrs, want %d", v, len(got), len(want))
 		}
 	}
@@ -172,12 +174,12 @@ func TestDeletions(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := xpsim.NewCtx(0)
-	got := s.NbrsOut(ctx, 0, nil)
+	got := s.Nbrs(ctx, Out, 0, nil)
 	// One of the two 0->1 edges is deleted; del(0,9) has no match.
 	if !sameMultiset(got, []uint32{1, 2}) {
 		t.Fatalf("out(0) = %v, want {1,2}", got)
 	}
-	if in := s.NbrsIn(ctx, 1, nil); !sameMultiset(in, []uint32{0}) {
+	if in := s.Nbrs(ctx, In, 1, nil); !sameMultiset(in, []uint32{0}) {
 		t.Fatalf("in(1) = %v, want {0}", in)
 	}
 }
@@ -279,10 +281,10 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		ref := buildReference(prefix)
 		ctx := xpsim.NewCtx(0)
 		for v := graph.VID(0); v < 256; v++ {
-			if !sameMultiset(rs.NbrsOut(ctx, v, nil), ref.out[v]) {
+			if !sameMultiset(rs.Nbrs(ctx, Out, v, nil), ref.out[v]) {
 				return false
 			}
-			if !sameMultiset(rs.NbrsIn(ctx, v, nil), ref.in[v]) {
+			if !sameMultiset(rs.Nbrs(ctx, In, v, nil), ref.in[v]) {
 				return false
 			}
 		}
@@ -345,7 +347,7 @@ func TestViewInterfaces(t *testing.T) {
 		t.Fatalf("buf out(1) = %v after flush", got)
 	}
 	// The merged view is stable throughout.
-	if got := s.NbrsOut(ctx, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
+	if got := s.Nbrs(ctx, Out, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
 		t.Fatalf("merged out(1) = %v", got)
 	}
 }
@@ -364,7 +366,7 @@ func TestCompact(t *testing.T) {
 	if err := s.CompactAdjs(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	got := s.NbrsOut(ctx, 1, nil)
+	got := s.Nbrs(ctx, Out, 1, nil)
 	if len(got) != 99 {
 		t.Fatalf("after compact: %d nbrs, want 99", len(got))
 	}
@@ -528,10 +530,10 @@ func TestDeletionMixProperty(t *testing.T) {
 		ref := buildReference(edges)
 		ctx := xpsim.NewCtx(0)
 		for v := graph.VID(0); v < 64; v++ {
-			if !sameMultiset(s.NbrsOut(ctx, v, nil), ref.out[v]) {
+			if !sameMultiset(s.Nbrs(ctx, Out, v, nil), ref.out[v]) {
 				return false
 			}
-			if !sameMultiset(s.NbrsIn(ctx, v, nil), ref.in[v]) {
+			if !sameMultiset(s.Nbrs(ctx, In, v, nil), ref.in[v]) {
 				return false
 			}
 		}
@@ -553,7 +555,7 @@ func TestDynamicVertexGrowth(t *testing.T) {
 		t.Fatalf("store did not grow: %d vertices", s.NumVertices())
 	}
 	ctx := xpsim.NewCtx(0)
-	if got := s.NbrsOut(ctx, 100, nil); !sameMultiset(got, []uint32{2000}) {
+	if got := s.Nbrs(ctx, Out, 100, nil); !sameMultiset(got, []uint32{2000}) {
 		t.Fatalf("out(100) = %v", got)
 	}
 }
@@ -588,14 +590,14 @@ func TestVisitMatchesNbrs(t *testing.T) {
 		for d := Out; d <= In; d++ {
 			want := s.Nbrs(ctx, d, v, nil)
 			var got []uint32
-			s.VisitNbrs(ctx, d, v, func(n uint32) { got = append(got, n) })
+			s.Visit(ctx, d, v, prop.Filter{}, func(n uint32) { got = append(got, n) })
 			if !sameMultiset(got, want) {
 				t.Fatalf("vertex %d dir %d: visit %d records, Nbrs %d", v, d, len(got), len(want))
 			}
 		}
 	}
 	// Out of range is a no-op.
-	s.VisitOut(ctx, 1<<30, func(uint32) { t.Fatal("visited out-of-range vertex") })
+	s.Visit(ctx, Out, 1<<30, prop.Filter{}, func(uint32) { t.Fatal("visited out-of-range vertex") })
 }
 
 func TestVisitAfterRecoveryResolvesTombstones(t *testing.T) {
@@ -620,7 +622,7 @@ func TestVisitAfterRecoveryResolvesTombstones(t *testing.T) {
 	}
 	ctx := xpsim.NewCtx(0)
 	var got []uint32
-	rs.VisitOut(ctx, 1, func(n uint32) { got = append(got, n) })
+	rs.Visit(ctx, Out, 1, prop.Filter{}, func(n uint32) { got = append(got, n) })
 	if !sameMultiset(got, []uint32{3}) {
 		t.Fatalf("post-recovery visit out(1) = %v, want {3}", got)
 	}
@@ -646,7 +648,7 @@ func TestFourSocketMachine(t *testing.T) {
 	checkAgainstReference(t, s, buildReference(edges), 1024)
 	// Vertex v's data lives on node v%4.
 	for v := graph.VID(0); v < 8; v++ {
-		if got := s.PartitionNode(Out, v); got != int(v%4) {
+		if got := s.Node(Out, v); got != int(v%4) {
 			t.Fatalf("vertex %d on node %d, want %d", v, got, v%4)
 		}
 	}
@@ -745,13 +747,13 @@ func TestSmallAPISurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := xpsim.NewCtx(0)
-	if got := s.NbrsOut(ctx, 1, nil); len(got) != 0 {
+	if got := s.Nbrs(ctx, Out, 1, nil); len(got) != 0 {
 		t.Fatalf("out(1) after del = %v", got)
 	}
-	if s.OutNode(1) != s.PartitionNode(Out, 1) || s.InNode(1) != s.PartitionNode(In, 1) {
+	if g := (view.Graph{Source: s}); g.OutNode(1) != s.Node(Out, 1) || g.InNode(1) != s.Node(In, 1) {
 		t.Fatal("node accessors disagree")
 	}
-	if s.OutDegree(1) != s.Degree(Out, 1) {
+	if (view.Graph{Source: s}).OutDegree(1) != s.Degree(Out, 1) {
 		t.Fatal("degree accessors disagree")
 	}
 	if s.Degree(Out, 9999) != 0 {
@@ -760,14 +762,14 @@ func TestSmallAPISurface(t *testing.T) {
 	// Vertex 2 is tombstoned, so VisitIn takes the resolving path: the
 	// add and its deletion cancel.
 	var in []uint32
-	s.VisitIn(ctx, 2, func(n uint32) { in = append(in, n) })
+	s.Visit(ctx, In, 2, prop.Filter{}, func(n uint32) { in = append(in, n) })
 	if len(in) != 0 {
 		t.Fatalf("VisitIn resolved records = %v, want none", in)
 	}
 	if err := s.AddEdge(3, 2); err != nil {
 		t.Fatal(err)
 	}
-	s.VisitIn(ctx, 2, func(n uint32) { in = append(in, n) })
+	s.Visit(ctx, In, 2, prop.Filter{}, func(n uint32) { in = append(in, n) })
 	if len(in) != 1 || in[0] != 3 {
 		t.Fatalf("VisitIn after re-add = %v, want [3]", in)
 	}

@@ -10,11 +10,11 @@ import (
 
 // The property-graph surface of the store (Options.Props; internal/prop,
 // DESIGN.md §13). The write side pairs a plain Ingest with label/property
-// records in the column log; the read side implements view.Typed on both
-// the live store and its snapshots, with filter predicates applied while
-// the adjacency stream decodes — a pruned neighbor never reaches the
-// caller, so a filtered frontier never charges the next hop's media
-// reads.
+// records in the column log; the read side serves the property reads of
+// view.Source on both the live store and its snapshots. A filtered Visit
+// applies its predicates while the adjacency stream decodes — a pruned
+// neighbor never reaches the caller, so a filtered frontier never
+// charges the next hop's media reads.
 //
 // Property reads are read-latest, not snapshot-pinned: a Snapshot pins
 // the adjacency view (which edges exist) but labels and vertex
@@ -118,7 +118,7 @@ func (s *Store) RestorePropState(edges []graph.Edge, labels []uint16, sets []gra
 	return nil
 }
 
-// ---- view.Typed on the live store ----
+// ---- property reads of view.Source ----
 
 // Labels reports the label table ([""] when the layer is disabled: every
 // edge carries the default label).
@@ -129,16 +129,17 @@ func (s *Store) Labels() []string {
 	return s.props.Labels()
 }
 
-// LabelID resolves a registered label name.
-func (s *Store) LabelID(name string) (uint16, bool) {
+// Label reports the label of edge (src, dst); it fails with
+// prop.ErrDamaged once an unrecoverable column block means the answer
+// could be wrong.
+func (s *Store) Label(src, dst graph.VID) (uint16, error) {
 	if s.props == nil {
-		return 0, false
+		return graph.DefaultLabel, nil
 	}
-	return s.props.LabelID(name)
+	return s.props.LabelChecked(uint32(src), uint32(dst))
 }
 
-// VProp reads vertex v's property key; it fails with prop.ErrDamaged
-// once an unrecoverable column block means the answer could be wrong.
+// VProp reads vertex v's property key (checked like Label).
 func (s *Store) VProp(v graph.VID, key uint16) (int64, bool, error) {
 	if s.props == nil {
 		return 0, false, nil
@@ -146,48 +147,27 @@ func (s *Store) VProp(v graph.VID, key uint16) (int64, bool, error) {
 	return s.props.VPropChecked(uint32(v), key)
 }
 
-// VisitOutTyped streams v's out-neighbors passing f with their labels.
-func (s *Store) VisitOutTyped(ctx *xpsim.Ctx, v graph.VID, f prop.Filter, fn func(nbr uint32, lbl uint16)) error {
-	return visitTyped(ctx, Out, v, f, fn, s.props, s.Nbrs)
-}
+// Snapshots read properties through the live store (read-latest).
 
-// VisitInTyped streams v's in-neighbors passing f with their labels.
-func (s *Store) VisitInTyped(ctx *xpsim.Ctx, v graph.VID, f prop.Filter, fn func(nbr uint32, lbl uint16)) error {
-	return visitTyped(ctx, In, v, f, fn, s.props, s.Nbrs)
-}
-
-// ---- view.Typed on snapshots ----
-
-// Labels reports the label table through the snapshot (read-latest).
+// Labels reports the label table through the snapshot.
 func (sn *Snapshot) Labels() []string { return sn.store.Labels() }
 
-// LabelID resolves a label name through the snapshot (read-latest).
-func (sn *Snapshot) LabelID(name string) (uint16, bool) { return sn.store.LabelID(name) }
+// Label reports an edge label through the snapshot.
+func (sn *Snapshot) Label(src, dst graph.VID) (uint16, error) { return sn.store.Label(src, dst) }
 
-// VProp reads a vertex property through the snapshot (read-latest).
+// VProp reads a vertex property through the snapshot.
 func (sn *Snapshot) VProp(v graph.VID, key uint16) (int64, bool, error) {
 	return sn.store.VProp(v, key)
 }
 
-// VisitOutTyped streams the snapshot's out-neighbors of v passing f —
-// the adjacency view is epoch-exact, the labels read-latest.
-func (sn *Snapshot) VisitOutTyped(ctx *xpsim.Ctx, v graph.VID, f prop.Filter, fn func(nbr uint32, lbl uint16)) error {
-	return visitTyped(ctx, Out, v, f, fn, sn.store.props, sn.Nbrs)
-}
-
-// VisitInTyped mirrors VisitOutTyped over the in-direction.
-func (sn *Snapshot) VisitInTyped(ctx *xpsim.Ctx, v graph.VID, f prop.Filter, fn func(nbr uint32, lbl uint16)) error {
-	return visitTyped(ctx, In, v, f, fn, sn.store.props, sn.Nbrs)
-}
-
-// visitTyped is the shared typed-visit core: materialize the resolved
-// neighbor stream through nbrs, look up each edge's label in the column
-// index, and apply the filter before the callback ever sees the
-// neighbor. With no property layer every edge is default-labeled and no
-// vertex has properties — a filter on real types or properties simply
-// matches nothing.
+// visitTyped is the filtered half of Visit on the store and its
+// snapshots: materialize the resolved neighbor stream through nbrs, look
+// up each edge's label in the column index, and apply the filter before
+// the callback ever sees the neighbor. With no property layer every edge
+// is default-labeled and no vertex has properties — a filter on real
+// types or properties simply matches nothing.
 func visitTyped(ctx *xpsim.Ctx, d Direction, v graph.VID, f prop.Filter,
-	fn func(nbr uint32, lbl uint16), props *prop.Store,
+	fn func(nbr uint32), props *prop.Store,
 	nbrs func(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint32) []uint32) error {
 	if err := f.Validate(); err != nil {
 		return err
@@ -220,7 +200,7 @@ func visitTyped(ctx *xpsim.Ctx, d Direction, v graph.VID, f prop.Filter,
 		if !f.MatchVertex(get(nbr)) {
 			continue
 		}
-		fn(nbr, lbl)
+		fn(nbr)
 	}
 	return nil
 }

@@ -9,13 +9,15 @@ import (
 )
 
 // typedOut collects v's out-neighbors passing f as a nbr→label map.
-func typedOut(t *testing.T, s interface {
-	VisitOutTyped(*xpsim.Ctx, graph.VID, prop.Filter, func(uint32, uint16)) error
-}, v graph.VID, f prop.Filter) map[uint32]uint16 {
+func typedOut(t *testing.T, s *Store, v graph.VID, f prop.Filter) map[uint32]uint16 {
 	t.Helper()
 	ctx := xpsim.NewCtx(0)
 	got := map[uint32]uint16{}
-	if err := s.VisitOutTyped(ctx, v, f, func(nbr uint32, lbl uint16) {
+	if err := s.Visit(ctx, Out, v, f, func(nbr uint32) {
+		lbl, err := s.Label(v, nbr)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got[nbr] = lbl
 	}); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/graph"
 	"repro/internal/mempool"
+	"repro/internal/prop"
 	"repro/internal/xpsim"
 )
 
@@ -21,46 +22,32 @@ func (s *Store) Nbrs(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint32) []u
 	return resolveInPlace(dst, start)
 }
 
-// NbrsOut and NbrsIn are direction-fixed conveniences.
-func (s *Store) NbrsOut(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	return s.Nbrs(ctx, Out, v, dst)
-}
-
-// NbrsIn returns v's in-neighbors.
-func (s *Store) NbrsIn(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	return s.Nbrs(ctx, In, v, dst)
-}
-
-// VisitNbrs streams v's merged neighbor view (PMEM blocks then the DRAM
-// vertex buffer) to fn without allocating. Vertices that ever received a
-// deletion tombstone fall back to the materializing path so the resolved
-// view stays correct.
-func (s *Store) VisitNbrs(ctx *xpsim.Ctx, d Direction, v graph.VID, fn func(nbr uint32)) {
+// Visit streams v's merged neighbor view (PMEM blocks then the DRAM
+// vertex buffer) that passes f — the view.Source traversal decoder. The
+// zero filter streams without allocating and never touches the property
+// columns; vertices that ever received a deletion tombstone fall back to
+// the materializing path so the resolved view stays correct. Any other
+// filter runs through visitTyped (prop.go).
+func (s *Store) Visit(ctx *xpsim.Ctx, d Direction, v graph.VID, f prop.Filter, fn func(nbr uint32)) error {
+	if !f.Empty() {
+		return visitTyped(ctx, d, v, f, fn, s.props, s.Nbrs)
+	}
 	if v >= s.NumVertices() {
-		return
+		return nil
 	}
 	_, tombstoned := s.delVerts[d][v]
 	if tombstoned || s.delsUnknown {
 		for _, nbr := range s.Nbrs(ctx, d, v, nil) {
 			fn(nbr)
 		}
-		return
+		return nil
 	}
 	s.groups[d][s.partOf(v)].adj.Visit(ctx, v, fn)
 	h := s.vbH[d][v]
 	if h != mempool.None {
 		s.bufs.Visit(ctx, h, int(s.vbC[d][v]), fn)
 	}
-}
-
-// VisitOut and VisitIn are direction-fixed conveniences.
-func (s *Store) VisitOut(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) {
-	s.VisitNbrs(ctx, Out, v, fn)
-}
-
-// VisitIn streams v's in-neighbors.
-func (s *Store) VisitIn(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) {
-	s.VisitNbrs(ctx, In, v, fn)
+	return nil
 }
 
 // NbrsFlush returns only the PMEM-resident neighbors —
@@ -112,31 +99,6 @@ func (s *Store) NbrsLog(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint32) 
 // get_logged_edges() of Table I.
 func (s *Store) LoggedEdges(ctx *xpsim.Ctx) []graph.Edge {
 	return s.log.Read(ctx, s.log.Buffered(), s.log.Head(), nil)
-}
-
-// OutNode and InNode report the NUMA home of v's adjacency data for query
-// classification (§III-D).
-func (s *Store) OutNode(v graph.VID) int { return s.PartitionNode(Out, v) }
-
-// InNode reports the NUMA home of v's in-adjacency.
-func (s *Store) InNode(v graph.VID) int { return s.PartitionNode(In, v) }
-
-// OutDegree reports the record count of v's out-adjacency.
-func (s *Store) OutDegree(v graph.VID) int { return s.Degree(Out, v) }
-
-// InDegree reports the record count of v's in-adjacency.
-func (s *Store) InDegree(v graph.VID) int { return s.Degree(In, v) }
-
-// NbrsOutChecked and NbrsInChecked are direction-fixed conveniences over
-// NbrsChecked (media.go), completing the view.Full surface on the live
-// store.
-func (s *Store) NbrsOutChecked(ctx *xpsim.Ctx, v graph.VID, dst []uint32) ([]uint32, error) {
-	return s.NbrsChecked(ctx, Out, v, dst)
-}
-
-// NbrsInChecked returns v's in-neighbors through the checked path.
-func (s *Store) NbrsInChecked(ctx *xpsim.Ctx, v graph.VID, dst []uint32) ([]uint32, error) {
-	return s.NbrsChecked(ctx, In, v, dst)
 }
 
 // Degree reports the number of live records known for v (records minus

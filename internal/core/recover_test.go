@@ -59,10 +59,10 @@ func TestRecoveryWithDeletions(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := xpsim.NewCtx(0)
-	if got := rs.NbrsOut(ctx, 1, nil); !sameMultiset(got, []uint32{2, 4}) {
+	if got := rs.Nbrs(ctx, Out, 1, nil); !sameMultiset(got, []uint32{2, 4}) {
 		t.Fatalf("out(1) after recovery = %v, want {2,4}", got)
 	}
-	if got := rs.NbrsIn(ctx, 1, nil); !sameMultiset(got, []uint32{2}) {
+	if got := rs.Nbrs(ctx, In, 1, nil); !sameMultiset(got, []uint32{2}) {
 		t.Fatalf("in(1) after recovery = %v, want {2}", got)
 	}
 }
@@ -81,7 +81,7 @@ func TestRecoverEmptyStore(t *testing.T) {
 		t.Fatalf("empty recovery report: %+v", rep)
 	}
 	ctx := xpsim.NewCtx(0)
-	if got := rs.NbrsOut(ctx, 1, nil); len(got) != 0 {
+	if got := rs.Nbrs(ctx, Out, 1, nil); len(got) != 0 {
 		t.Fatalf("empty store has neighbors: %v", got)
 	}
 }
@@ -210,7 +210,7 @@ func TestRecoverRejectsWrongLogCapacity(t *testing.T) {
 	}
 	if rs, _, err := Recover(m, h, nil, opts); err != nil {
 		t.Fatalf("correct geometry must still recover: %v", err)
-	} else if got := rs.NbrsOut(xpsim.NewCtx(0), 1, nil); !sameMultiset(got, []uint32{2}) {
+	} else if got := rs.Nbrs(xpsim.NewCtx(0), Out, 1, nil); !sameMultiset(got, []uint32{2}) {
 		t.Fatalf("out(1) = %v, want {2}", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/mempool"
+	"repro/internal/prop"
 	"repro/internal/xpsim"
 )
 
@@ -16,8 +17,8 @@ import (
 // later. This is the role snapshot metadata plays in GraphOne (§II-B);
 // XPGraph's hybrid store supports it the same way.
 //
-// Snapshot implements view.View, so the analytics engine and the HTTP
-// server run unchanged over a snapshot — the basis of the serving stack's
+// Snapshot is a view.Source, so the analytics engine and the HTTP server
+// run unchanged over a snapshot — the basis of the serving stack's
 // snapshot-isolated reads.
 //
 // Compaction rewrites chains and resolves tombstones in place, which
@@ -116,24 +117,28 @@ func (sn *Snapshot) Degree(d Direction, v graph.VID) int {
 	return int(sn.records[d][v])
 }
 
-// OutDegree reports the out-record count of v as of the snapshot.
-func (sn *Snapshot) OutDegree(v graph.VID) int { return sn.Degree(Out, v) }
+// Node reports the NUMA home of v's adjacency data; the placement is
+// fixed at store creation, so delegating to the live store is
+// snapshot-safe.
+func (sn *Snapshot) Node(d Direction, v graph.VID) int { return sn.store.Node(d, v) }
 
-// InDegree reports the in-record count of v as of the snapshot.
-func (sn *Snapshot) InDegree(v graph.VID) int { return sn.Degree(In, v) }
+// Visit streams v's neighbors as of the snapshot that pass f (the
+// view.Source traversal decoder). Snapshot reads must trim and resolve
+// against the captured counts, so the stream materializes internally.
+func (sn *Snapshot) Visit(ctx *xpsim.Ctx, d Direction, v graph.VID, f prop.Filter, fn func(nbr uint32)) error {
+	if !f.Empty() {
+		return visitTyped(ctx, d, v, f, fn, sn.store.props, sn.nbrs)
+	}
+	for _, nbr := range sn.nbrs(ctx, d, v, nil) {
+		fn(nbr)
+	}
+	return nil
+}
 
-// OutNode and InNode report the NUMA home of v's adjacency data; the
-// placement is fixed at store creation, so delegating to the live store
-// is snapshot-safe.
-func (sn *Snapshot) OutNode(v graph.VID) int { return sn.store.PartitionNode(Out, v) }
-
-// InNode reports the NUMA home of v's in-adjacency.
-func (sn *Snapshot) InNode(v graph.VID) int { return sn.store.PartitionNode(In, v) }
-
-// Nbrs returns v's neighbors as of the snapshot, tombstones resolved.
+// nbrs appends v's neighbors as of the snapshot, tombstones resolved.
 // Records ingested after the snapshot are invisible; vertices created
 // after the snapshot read as empty.
-func (sn *Snapshot) Nbrs(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint32) []uint32 {
+func (sn *Snapshot) nbrs(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []uint32) []uint32 {
 	// Bounds first, against the snapshot's own captured space: the live
 	// store may have grown since capture, and the captured records slice
 	// must never be indexed for a vertex born later.
@@ -174,6 +179,10 @@ func (sn *Snapshot) materialize(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []
 		// compaction slipped past the fencing (e.g. on a snapshot read
 		// after Close). Degrade to the resolved stream rather than fail.
 		want = len(all)
+	}
+	if dst == nil {
+		// Nothing to append to: the private reconstruction is the answer.
+		return resolveInPlace(all[:want], 0)
 	}
 	dst = append(dst, all[:want]...)
 	return resolveInPlace(dst, start)
@@ -253,7 +262,7 @@ func (sn *Snapshot) materializeChecked(ctx *xpsim.Ctx, d Direction, v graph.VID,
 	return resolveInPlace(dst, start), nil
 }
 
-// NbrsChecked is Nbrs with media-error detection: reads that touch
+// NbrsChecked is nbrs with media-error detection: reads that touch
 // uncorrectable lines or checksum-mismatched blocks return a typed error
 // instead of wrong data, and views frozen over already-damaged chains
 // replay the freeze-time error.
@@ -273,42 +282,4 @@ func (sn *Snapshot) NbrsChecked(ctx *xpsim.Ctx, d Direction, v graph.VID, dst []
 		return append(dst, f...), nil
 	}
 	return sn.materializeChecked(ctx, d, v, dst)
-}
-
-// NbrsOutChecked and NbrsInChecked are direction-fixed conveniences used
-// by the serving layer's checked read path.
-func (sn *Snapshot) NbrsOutChecked(ctx *xpsim.Ctx, v graph.VID, dst []uint32) ([]uint32, error) {
-	return sn.NbrsChecked(ctx, Out, v, dst)
-}
-
-// NbrsInChecked returns v's in-neighbors through the checked path.
-func (sn *Snapshot) NbrsInChecked(ctx *xpsim.Ctx, v graph.VID, dst []uint32) ([]uint32, error) {
-	return sn.NbrsChecked(ctx, In, v, dst)
-}
-
-// NbrsOut and NbrsIn are direction-fixed conveniences.
-func (sn *Snapshot) NbrsOut(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	return sn.Nbrs(ctx, Out, v, dst)
-}
-
-// NbrsIn returns v's in-neighbors as of the snapshot.
-func (sn *Snapshot) NbrsIn(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	return sn.Nbrs(ctx, In, v, dst)
-}
-
-// VisitOut streams v's resolved out-neighbors as of the snapshot.
-// Snapshot reads must trim and resolve against the captured counts, so
-// the stream materializes internally; the callback contract matches
-// Store.VisitOut.
-func (sn *Snapshot) VisitOut(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) {
-	for _, nbr := range sn.Nbrs(ctx, Out, v, nil) {
-		fn(nbr)
-	}
-}
-
-// VisitIn streams v's resolved in-neighbors as of the snapshot.
-func (sn *Snapshot) VisitIn(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) {
-	for _, nbr := range sn.Nbrs(ctx, In, v, nil) {
-		fn(nbr)
-	}
 }

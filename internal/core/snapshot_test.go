@@ -28,17 +28,17 @@ func TestSnapshotIsolation(t *testing.T) {
 	if _, err := s.Ingest([]graph.Edge{{Src: 1, Dst: 9}, {Src: 1, Dst: 10}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := snap.NbrsOut(ctx, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
+	if got := snap.nbrs(ctx, Out, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
 		t.Fatalf("snapshot out(1) = %v, want {2,3}", got)
 	}
 	// The live view sees everything.
-	if live := s.NbrsOut(ctx, 1, nil); !sameMultiset(live, []uint32{2, 3, 9, 10}) {
+	if live := s.Nbrs(ctx, Out, 1, nil); !sameMultiset(live, []uint32{2, 3, 9, 10}) {
 		t.Fatalf("live out(1) = %v", live)
 	}
 	// A fresh snapshot sees the new state.
 	snap2 := s.Snapshot(ctx)
 	defer snap2.Close()
-	if got2 := snap2.NbrsOut(ctx, 1, nil); !sameMultiset(got2, []uint32{2, 3, 9, 10}) {
+	if got2 := snap2.nbrs(ctx, Out, 1, nil); !sameMultiset(got2, []uint32{2, 3, 9, 10}) {
 		t.Fatalf("snapshot2 out(1) = %v", got2)
 	}
 }
@@ -56,7 +56,7 @@ func TestSnapshotSurvivesFlush(t *testing.T) {
 	defer snap.Close()
 	want := map[graph.VID][]uint32{}
 	for v := graph.VID(0); v < 64; v++ {
-		want[v] = append([]uint32(nil), snap.NbrsOut(ctx, v, nil)...)
+		want[v] = append([]uint32(nil), snap.nbrs(ctx, Out, v, nil)...)
 	}
 	if err := s.FlushAllVbufs(); err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestSnapshotSurvivesFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := graph.VID(0); v < 64; v++ {
-		if got := snap.NbrsOut(ctx, v, nil); !sameMultiset(got, want[v]) {
+		if got := snap.nbrs(ctx, Out, v, nil); !sameMultiset(got, want[v]) {
 			t.Fatalf("vertex %d: snapshot changed after flush+ingest: %v vs %v", v, got, want[v])
 		}
 	}
@@ -92,17 +92,17 @@ func TestSnapshotSurvivesCompaction(t *testing.T) {
 	if err := s.CompactAdjs(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := snap.NbrsOut(ctx, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
+	if got := snap.nbrs(ctx, Out, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
 		t.Fatalf("snapshot out(1) after compaction = %v, want {2,3}", got)
 	}
-	if live := s.NbrsOut(ctx, 1, nil); !sameMultiset(live, []uint32{3, 5}) {
+	if live := s.Nbrs(ctx, Out, 1, nil); !sameMultiset(live, []uint32{3, 5}) {
 		t.Fatalf("live out(1) after compaction = %v, want {3,5}", live)
 	}
 	// Repeated compaction of the same vertex stays stable.
 	if err := s.CompactAdjs(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := snap.NbrsOut(ctx, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
+	if got := snap.nbrs(ctx, Out, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
 		t.Fatalf("snapshot out(1) after second compaction = %v, want {2,3}", got)
 	}
 }
@@ -130,13 +130,13 @@ func TestSnapshotVertexBornLater(t *testing.T) {
 		t.Fatalf("store did not grow: %d <= %d", s.NumVertices(), numV)
 	}
 	for _, v := range []graph.VID{100, numV, graph.VID(s.NumVertices()), 1 << 30} {
-		if got := snap.NbrsOut(ctx, v, nil); len(got) != 0 {
+		if got := snap.nbrs(ctx, Out, v, nil); len(got) != 0 {
 			t.Fatalf("snapshot out(%d) = %v, want empty", v, got)
 		}
-		if got := snap.NbrsIn(ctx, v, nil); len(got) != 0 {
+		if got := snap.nbrs(ctx, In, v, nil); len(got) != 0 {
 			t.Fatalf("snapshot in(%d) = %v, want empty", v, got)
 		}
-		if d := snap.OutDegree(v); d != 0 {
+		if d := snap.Degree(Out, v); d != 0 {
 			t.Fatalf("snapshot OutDegree(%d) = %d, want 0", v, d)
 		}
 	}
@@ -144,7 +144,7 @@ func TestSnapshotVertexBornLater(t *testing.T) {
 		t.Fatalf("snapshot NumVertices changed: %d != %d", snap.NumVertices(), numV)
 	}
 	// The snapshot's pre-existing data is unaffected.
-	if got := snap.NbrsOut(ctx, 1, nil); !sameMultiset(got, []uint32{2}) {
+	if got := snap.nbrs(ctx, Out, 1, nil); !sameMultiset(got, []uint32{2}) {
 		t.Fatalf("snapshot out(1) = %v, want {2}", got)
 	}
 }
@@ -173,10 +173,10 @@ func TestSnapshotPrefixProperty(t *testing.T) {
 		}
 		ref := buildReference(all[:cut])
 		for v := graph.VID(0); v < 256; v++ {
-			if got := snap.NbrsOut(ctx, v, nil); !sameMultiset(got, ref.out[v]) {
+			if got := snap.nbrs(ctx, Out, v, nil); !sameMultiset(got, ref.out[v]) {
 				return false
 			}
-			if gotIn := snap.NbrsIn(ctx, v, nil); !sameMultiset(gotIn, ref.in[v]) {
+			if gotIn := snap.nbrs(ctx, In, v, nil); !sameMultiset(gotIn, ref.in[v]) {
 				return false
 			}
 		}

@@ -118,7 +118,7 @@ func TestSoak(t *testing.T) {
 				// including across flushes and compactions.
 				for si, ps := range snaps {
 					v := graph.VID(rng.Intn(numV))
-					if got := ps.snap.NbrsOut(ctx, v, nil); !sameMultiset(got, ps.out[v]) {
+					if got := ps.snap.nbrs(ctx, Out, v, nil); !sameMultiset(got, ps.out[v]) {
 						t.Fatalf("op %d snapshot %d: out(%d) drifted", op, si, v)
 					}
 				}

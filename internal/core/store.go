@@ -18,12 +18,12 @@ import (
 )
 
 // Direction selects out-neighbors or in-neighbors.
-type Direction int
+type Direction = graph.Direction
 
 // Out and In are the two adjacency directions every edge updates.
 const (
-	Out Direction = 0
-	In  Direction = 1
+	Out = graph.Out
+	In  = graph.In
 )
 
 // perVertexMetaBytes approximates the DRAM metadata per vertex per
@@ -417,10 +417,10 @@ func (s *Store) partOf(v graph.VID) int {
 	return int(v) % s.nparts
 }
 
-// PartitionNode reports the NUMA node that owns vertex v's adjacency data
-// in the given direction (xpsim.NodeUnbound when interleaved). Query
-// engines use it to classify work per node before binding (§III-D).
-func (s *Store) PartitionNode(d Direction, v graph.VID) int {
+// Node reports the NUMA node that owns vertex v's adjacency data in the
+// given direction (xpsim.NodeUnbound when interleaved). Query engines use
+// it to classify work per node before binding (§III-D).
+func (s *Store) Node(d Direction, v graph.VID) int {
 	return s.groups[d][s.partOf(v)].node
 }
 

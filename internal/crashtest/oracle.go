@@ -89,10 +89,10 @@ func verify(rs *core.Store, edges []graph.Edge, durable int64) error {
 	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
 	numV := rs.NumVertices()
 	for v := graph.VID(0); v < numV; v++ {
-		if d := diffMultiset(rs.NbrsOut(ctx, v, nil), o.out[v]); d != "" {
+		if d := diffMultiset(rs.Nbrs(ctx, core.Out, v, nil), o.out[v]); d != "" {
 			return fmt.Errorf("vertex %d out (durable=%d): %s", v, durable, d)
 		}
-		if d := diffMultiset(rs.NbrsIn(ctx, v, nil), o.in[v]); d != "" {
+		if d := diffMultiset(rs.Nbrs(ctx, core.In, v, nil), o.in[v]); d != "" {
 			return fmt.Errorf("vertex %d in (durable=%d): %s", v, durable, d)
 		}
 	}

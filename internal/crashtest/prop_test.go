@@ -115,9 +115,17 @@ func runPropCrash(plan xpsim.FaultPlan) (int64, error) {
 	ctx := xpsim.NewCtx(0)
 	got := map[graph.Edge]uint16{}
 	for v := graph.VID(0); v < propNV; v++ {
-		err := rs.VisitOutTyped(ctx, v, prop.Filter{}, func(nbr uint32, lbl uint16) {
+		var lerr error
+		err := rs.Visit(ctx, core.Out, v, prop.Filter{}, func(nbr uint32) {
+			lbl, err := rs.Label(v, nbr)
+			if err != nil && lerr == nil {
+				lerr = err
+			}
 			got[graph.Edge{Src: uint32(v), Dst: nbr}] = lbl
 		})
+		if err == nil {
+			err = lerr
+		}
 		if err != nil {
 			return faults.MediaWrites(), fmt.Errorf("visit %d: %w", v, err)
 		}

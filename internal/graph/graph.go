@@ -31,6 +31,15 @@ func (e Edge) IsDelete() bool { return e.Dst&DelFlag != 0 }
 // Target returns the destination ID without the deletion flag.
 func (e Edge) Target() VID { return e.Dst &^ DelFlag }
 
+// Direction selects a vertex's out-neighbors or in-neighbors.
+type Direction int
+
+// Out and In are the two adjacency directions every edge updates.
+const (
+	Out Direction = 0
+	In  Direction = 1
+)
+
 // Del returns the deletion record for (src, dst).
 func Del(src, dst VID) Edge { return Edge{Src: src, Dst: dst | DelFlag} }
 

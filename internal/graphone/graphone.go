@@ -23,6 +23,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pmem"
 	"repro/internal/pmfs"
+	"repro/internal/prop"
 	"repro/internal/shard"
 	"repro/internal/view"
 	"repro/internal/xpsim"
@@ -185,7 +186,7 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 
 // Store conforms to the canonical read surface, so analytics and the
 // server run identically over the baseline.
-var _ view.View = (*Store)(nil)
+var _ view.Source = (*Store)(nil)
 
 // New builds a GraphOne store. heap may be nil for VariantD/VariantMM.
 func New(machine *xpsim.Machine, heap *pmem.Heap, budget *mem.Budget, opts Options) (*Store, error) {
@@ -463,17 +464,8 @@ func (s *Store) DelEdge(src, dst graph.VID) error {
 	return err
 }
 
-// NbrsOut returns v's archived out-neighbors (tombstones resolved).
-func (s *Store) NbrsOut(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	return s.nbrs(ctx, 0, v, dst)
-}
-
-// NbrsIn returns v's archived in-neighbors.
-func (s *Store) NbrsIn(ctx *xpsim.Ctx, v graph.VID, dst []uint32) []uint32 {
-	return s.nbrs(ctx, 1, v, dst)
-}
-
-func (s *Store) nbrs(ctx *xpsim.Ctx, d int, v graph.VID, dst []uint32) []uint32 {
+// nbrs appends v's archived d-neighbors to dst (tombstones resolved).
+func (s *Store) nbrs(ctx *xpsim.Ctx, d graph.Direction, v graph.VID, dst []uint32) []uint32 {
 	if v >= s.NumVertices() {
 		return dst
 	}
@@ -482,41 +474,48 @@ func (s *Store) nbrs(ctx *xpsim.Ctx, d int, v graph.VID, dst []uint32) []uint32 
 	return resolveTombstones(dst, start)
 }
 
-// VisitOut streams v's archived out-neighbors without allocating
-// (tombstoned vertices fall back to the resolved path).
-func (s *Store) VisitOut(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) {
-	s.visit(ctx, 0, v, fn)
-}
+// noProps is the vertex-property lookup of a store without a property
+// layer: no vertex has any property.
+func noProps(uint16) (int64, bool) { return 0, false }
 
-// VisitIn streams v's archived in-neighbors.
-func (s *Store) VisitIn(ctx *xpsim.Ctx, v graph.VID, fn func(nbr uint32)) {
-	s.visit(ctx, 1, v, fn)
-}
-
-func (s *Store) visit(ctx *xpsim.Ctx, d int, v graph.VID, fn func(nbr uint32)) {
-	if v >= s.NumVertices() {
-		return
+// Visit streams v's archived d-neighbors without allocating (tombstoned
+// vertices fall back to the resolved path). GraphOne has no property
+// layer: every edge carries the default label and no vertex has
+// properties, so a filter either passes every neighbor or none.
+func (s *Store) Visit(ctx *xpsim.Ctx, d graph.Direction, v graph.VID, f prop.Filter, fn func(nbr uint32)) error {
+	if err := f.Validate(); err != nil {
+		return err
+	}
+	if v >= s.NumVertices() || !f.MatchLabel(graph.DefaultLabel) || !f.MatchVertex(noProps) {
+		return nil
 	}
 	if _, tombstoned := s.delVerts[d][v]; tombstoned {
 		for _, nbr := range s.nbrs(ctx, d, v, nil) {
 			fn(nbr)
 		}
-		return
+		return nil
 	}
 	s.adjs[d].Visit(ctx, v, fn)
+	return nil
+}
+
+// NbrsChecked appends v's archived d-neighbors to dst. GraphOne has no
+// media guard, so the read never fails.
+func (s *Store) NbrsChecked(ctx *xpsim.Ctx, d graph.Direction, v graph.VID, dst []uint32) ([]uint32, error) {
+	return s.nbrs(ctx, d, v, dst), nil
 }
 
 // Degree reports archived records of v.
-func (s *Store) Degree(d int, v graph.VID) int {
+func (s *Store) Degree(d graph.Direction, v graph.VID) int {
 	if v >= s.NumVertices() {
 		return 0
 	}
 	return int(s.records[d][v])
 }
 
-// PartitionNode reports where v's data lives; GraphOne interleaves, so
-// queries cannot exploit locality.
-func (s *Store) PartitionNode(d int, v graph.VID) int {
+// Node reports where v's data lives; GraphOne interleaves, so queries
+// cannot exploit locality.
+func (s *Store) Node(d graph.Direction, v graph.VID) int {
 	if s.opts.BindSingleNode {
 		return 0
 	}
@@ -526,15 +525,14 @@ func (s *Store) PartitionNode(d int, v graph.VID) int {
 // NumPartitions reports 1: GraphOne has no NUMA-aware partitioning.
 func (s *Store) NumPartitions() int { return 1 }
 
-// OutNode and InNode report the NUMA home of v's adjacency data; GraphOne
-// interleaves everything, so queries cannot exploit locality.
-func (s *Store) OutNode(v graph.VID) int { return s.PartitionNode(0, v) }
+// Label reports the default label: GraphOne edges are untyped.
+func (s *Store) Label(src, dst graph.VID) (uint16, error) { return graph.DefaultLabel, nil }
 
-// InNode reports the NUMA home of v's in-adjacency.
-func (s *Store) InNode(v graph.VID) int { return s.PartitionNode(1, v) }
+// Labels reports the label table of an untyped store.
+func (s *Store) Labels() []string { return []string{""} }
 
-// OutDegree reports the archived out-record count of v.
-func (s *Store) OutDegree(v graph.VID) int { return s.Degree(0, v) }
+// VProp reports every property unset.
+func (s *Store) VProp(v graph.VID, key uint16) (int64, bool, error) { return 0, false, nil }
 
 // MemUsage mirrors core.MemUsage fields for the benches.
 type MemUsage struct {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mem"
 	"repro/internal/pmem"
+	"repro/internal/view"
 	"repro/internal/xpsim"
 )
 
@@ -62,10 +63,10 @@ func checkStore(t *testing.T, s *Store, edges []graph.Edge, numV graph.VID) {
 	out, in := buildRef(edges)
 	ctx := xpsim.NewCtx(0)
 	for v := graph.VID(0); v < numV; v++ {
-		if got := s.NbrsOut(ctx, v, nil); !sameMultiset(got, out[v]) {
+		if got := s.nbrs(ctx, graph.Out, v, nil); !sameMultiset(got, out[v]) {
 			t.Fatalf("vertex %d out: got %d nbrs, want %d", v, len(got), len(out[v]))
 		}
-		if got := s.NbrsIn(ctx, v, nil); !sameMultiset(got, in[v]) {
+		if got := s.nbrs(ctx, graph.In, v, nil); !sameMultiset(got, in[v]) {
 			t.Fatalf("vertex %d in: got %d nbrs, want %d", v, len(got), len(in[v]))
 		}
 	}
@@ -257,16 +258,17 @@ func TestGraphOneAPISurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := xpsim.NewCtx(0)
-	if got := s.NbrsOut(ctx, 1, nil); len(got) != 0 {
+	g := view.Graph{Source: s}
+	if got := g.NbrsOut(ctx, 1, nil); len(got) != 0 {
 		t.Fatalf("out(1) after del = %v", got)
 	}
 	var in []uint32
-	s.VisitIn(ctx, 1, func(n uint32) { in = append(in, n) })
+	g.VisitIn(ctx, 1, func(n uint32) { in = append(in, n) })
 	if len(in) != 1 || in[0] != 3 {
 		t.Fatalf("VisitIn(1) = %v", in)
 	}
 	var out []uint32
-	s.VisitOut(ctx, 3, func(n uint32) { out = append(out, n) })
+	g.VisitOut(ctx, 3, func(n uint32) { out = append(out, n) })
 	if len(out) != 1 || out[0] != 1 {
 		t.Fatalf("VisitOut(3) = %v", out)
 	}
@@ -276,11 +278,11 @@ func TestGraphOneAPISurface(t *testing.T) {
 	if VariantN.String() != "GraphOne-N" || VariantMM.String() != "GraphOne-MM" || Variant(9).String() == "" {
 		t.Fatal("variant names")
 	}
-	if s.Degree(0, 3) != 1 || s.Degree(0, 999) != 0 || s.OutDegree(3) != 1 {
+	if s.Degree(0, 3) != 1 || s.Degree(0, 999) != 0 || g.OutDegree(3) != 1 {
 		t.Fatal("degrees")
 	}
-	if s.NumPartitions() != 1 || s.PartitionNode(0, 1) != xpsim.NodeUnbound ||
-		s.OutNode(1) != s.InNode(1) {
+	if s.NumPartitions() != 1 || s.Node(graph.Out, 1) != xpsim.NodeUnbound ||
+		g.OutNode(1) != g.InNode(1) {
 		t.Fatal("partition surface")
 	}
 	if s.Report().Edges != 3 {
@@ -295,7 +297,7 @@ func TestGraphOneAPISurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.PartitionNode(0, 5) != 0 {
+	if s2.Node(graph.Out, 5) != 0 {
 		t.Fatal("bound store should report node 0")
 	}
 }

@@ -240,28 +240,6 @@ func (s *Store) SetLabelDef(ctx *xpsim.Ctx, id uint16, name string) error {
 	return s.Flush(ctx)
 }
 
-// LabelID resolves a registered label name.
-func (s *Store) LabelID(name string) (uint16, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for id, n := range s.names {
-		if id > 0 && n == name {
-			return uint16(id), true
-		}
-	}
-	return 0, false
-}
-
-// LabelName resolves a label id ("" for the default label or unknown).
-func (s *Store) LabelName(id uint16) string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if int(id) < len(s.names) {
-		return s.names[id]
-	}
-	return ""
-}
-
 // Labels returns the label table: index = label id, names[0] = "" (the
 // default label of untyped edges).
 func (s *Store) Labels() []string {

@@ -114,11 +114,8 @@ func TestApplyFlushAttach(t *testing.T) {
 	if v, ok := s2.VProp(2, 1); !ok || v != 43 {
 		t.Fatalf("recovered vprop %d %v", v, ok)
 	}
-	if name := s2.LabelName(id); name != "follows" {
-		t.Fatalf("recovered name %q", name)
-	}
-	if lid, ok := s2.LabelID("follows"); !ok || lid != id {
-		t.Fatalf("recovered id %d %v", lid, ok)
+	if names := s2.Labels(); int(id) >= len(names) || names[id] != "follows" {
+		t.Fatalf("recovered label table %q, want follows at id %d", names, id)
 	}
 }
 

@@ -90,9 +90,17 @@ func propDifferential(st *core.Store) error {
 	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
 	got := map[graph.Edge]uint16{}
 	for v := graph.VID(0); v < propNV; v++ {
-		err := st.VisitOutTyped(ctx, v, prop.Filter{}, func(nbr uint32, lbl uint16) {
+		var lerr error
+		err := st.Visit(ctx, core.Out, v, prop.Filter{}, func(nbr uint32) {
+			lbl, err := st.Label(v, nbr)
+			if err != nil && lerr == nil {
+				lerr = err
+			}
 			got[graph.Edge{Src: uint32(v), Dst: nbr}] = lbl
 		})
+		if err == nil {
+			err = lerr
+		}
 		if err != nil {
 			return fmt.Errorf("typed visit %d: %w", v, err)
 		}
@@ -122,7 +130,7 @@ func propDifferential(st *core.Store) error {
 		}
 	}
 	for v := graph.VID(0); v < propNV; v++ {
-		err := st.VisitOutTyped(ctx, v, prop.Filter{Types: []uint16{2}}, func(uint32, uint16) { kept++ })
+		err := st.Visit(ctx, core.Out, v, prop.Filter{Types: []uint16{2}}, func(uint32) { kept++ })
 		if err != nil {
 			return fmt.Errorf("filtered visit %d: %w", v, err)
 		}
@@ -198,9 +206,9 @@ func RunPropScrubRepair() error {
 
 // RunPropUnrecoverable pins the fail-closed path: mid-log damage that no
 // scrub patched before the crash leaves the recovered columns damaged —
-// every typed read fails with prop.ErrDamaged (never a default-label
-// answer), the scrub reports it unrecoverable, and the untyped adjacency
-// surface keeps serving.
+// every read of the columns (labels, properties, filtered visits) fails
+// with prop.ErrDamaged (never a default-label answer), the scrub reports
+// it unrecoverable, and the untyped adjacency surface keeps serving.
 func RunPropUnrecoverable() error {
 	st, faults, err := buildProp("prop-unrec")
 	if err != nil {
@@ -227,8 +235,11 @@ func RunPropUnrecoverable() error {
 	}
 
 	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
-	if err := rs.VisitOutTyped(ctx, 1, prop.Filter{}, func(uint32, uint16) {}); !errors.Is(err, prop.ErrDamaged) {
-		return fmt.Errorf("typed visit over damaged columns = %v, want prop.ErrDamaged", err)
+	if err := rs.Visit(ctx, core.Out, 1, prop.Filter{Types: []uint16{1}}, func(uint32) {}); !errors.Is(err, prop.ErrDamaged) {
+		return fmt.Errorf("filtered visit over damaged columns = %v, want prop.ErrDamaged", err)
+	}
+	if _, err := rs.Label(1, 2); !errors.Is(err, prop.ErrDamaged) {
+		return fmt.Errorf("Label over damaged columns = %v, want prop.ErrDamaged", err)
 	}
 	if _, _, err := rs.VProp(1, 1); !errors.Is(err, prop.ErrDamaged) {
 		return fmt.Errorf("VProp over damaged columns = %v, want prop.ErrDamaged", err)

@@ -24,8 +24,7 @@ import (
 )
 
 // engineFor builds a per-request analytics engine over a pinned cluster
-// view. The engine only sees view.View — it cannot tell one shard from
-// sixteen, which is the whole point of the view-only read API.
+// view; the engine reads it as a view.Source like any single store.
 func (s *Server) engineFor(cv *cluster.ClusterView) *analytics.Engine {
 	return analytics.NewEngine(cv, &s.machine.Lat, s.cfg.QueryThreads)
 }

@@ -50,6 +50,17 @@ func TestRetryAfterJitter(t *testing.T) {
 	}
 }
 
+// TestRetryAfterGolden pins the jitter sequence to recorded values.
+func TestRetryAfterGolden(t *testing.T) {
+	var got []byte
+	for seq := uint64(0); seq < 32; seq++ {
+		got = strconv.AppendInt(got, int64(retryAfterSecs(seq)), 10)
+	}
+	if want := "23212331222112333121123211222331"; string(got) != want {
+		t.Fatalf("retryAfterSecs(0..31) = %s, want %s", got, want)
+	}
+}
+
 // The breaker state-machine test moved to internal/cluster with the
 // breaker itself (the per-shard failure-shedding policy lives there now).
 

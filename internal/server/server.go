@@ -27,7 +27,7 @@
 // The serving backend is an internal/cluster.Cluster: New wraps a single
 // store in a degenerate one-shard cluster (the classic single-box
 // deployment), NewCluster serves a partitioned one — same routes, same
-// payloads, because every read goes through the one view.Full surface
+// payloads, because every read goes through the one view.Source surface
 // (cluster.ClusterView) and every write goes through the cluster router.
 //
 // # Concurrency model

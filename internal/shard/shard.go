@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 // Entry is one (vertex, neighbor) update routed to a worker. Nbr may carry
@@ -62,15 +63,7 @@ const DefaultSlots = 256
 // seeded and not process-dependent — partition stability across restarts
 // (same vid → same slot → same shard) is a correctness property of the
 // cluster, not a tuning knob.
-func Hash64(v graph.VID) uint64 {
-	x := uint64(v)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
+func Hash64(v graph.VID) uint64 { return rng.Mix(uint64(v)) }
 
 // SlotMap is the cluster partition map: a fixed ring of hash slots, each
 // owned by one shard. The slot table is filled round-robin, so it is a

@@ -50,6 +50,7 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/pmem"
+	"repro/internal/rng"
 	"repro/internal/server"
 	"repro/internal/xpsim"
 )
@@ -133,29 +134,13 @@ type Report struct {
 // Failed reports whether the run violated its SLO spec.
 func (r Report) Failed() bool { return len(r.Violations) > 0 }
 
-// splitmix64 is the repo's deterministic PRNG.
-type rng struct{ s uint64 }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
-// float returns a uniform float64 in [0,1).
-func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
-
 // zipfIdx picks an index in [0,n) with a power-law head: skew 0 is
 // uniform, larger skews concentrate mass on the low indices.
-func (r *rng) zipfIdx(n int, skew float64) int {
+func zipfIdx(r *rng.Stream, n int, skew float64) int {
 	if n <= 1 {
 		return 0
 	}
-	i := int(float64(n) * math.Pow(r.float(), 1+3*skew))
+	i := int(float64(n) * math.Pow(r.Float(), 1+3*skew))
 	if i >= n {
 		i = n - 1
 	}
@@ -197,7 +182,7 @@ type runner struct {
 	// tailStart is when the sustained-overload window closes (-1 when
 	// the scenario has none); reads at or after it feed TailReadP99Us.
 	tailStart int64
-	rng       rng
+	rng       rng.Stream
 	now       int64 // virtual ns
 
 	// Observability surface: the soak registry carries the driver-side
@@ -293,7 +278,7 @@ func newRunner(sc Scenario) (*runner, error) {
 		cl:        cl,
 		faults:    faults,
 		tailStart: -1,
-		rng:       rng{s: sc.Seed},
+		rng:       rng.Stream(sc.Seed),
 		tracer:    obs.NewTracer(1 << 15),
 		reg:       obs.NewRegistry(),
 	}
@@ -341,7 +326,7 @@ func newRunner(sc Scenario) (*runner, error) {
 	if sc.WarmEdges > 0 {
 		warm := make([]graph.Edge, sc.WarmEdges)
 		for i := range warm {
-			warm[i] = graph.Edge{Src: r.pickVertex(), Dst: graph.VID(r.rng.intn(int(sc.Vertices)))}
+			warm[i] = graph.Edge{Src: r.pickVertex(), Dst: graph.VID(r.rng.Uint64n(uint64(sc.Vertices)))}
 		}
 		if _, err := cl.IngestLocal(warm); err != nil {
 			cl.Close()
@@ -361,7 +346,7 @@ func newRunner(sc Scenario) (*runner, error) {
 		typed := make([]graph.Edge, n)
 		labels := make([]uint16, n)
 		for i := range typed {
-			typed[i] = graph.Edge{Src: r.pickVertex(), Dst: graph.VID(r.rng.intn(int(sc.Vertices)))}
+			typed[i] = graph.Edge{Src: r.pickVertex(), Dst: graph.VID(r.rng.Uint64n(uint64(sc.Vertices)))}
 			labels[i] = hot
 		}
 		if _, err := cl.IngestTyped(typed, labels, nil); err != nil {
@@ -393,17 +378,17 @@ func newRunner(sc Scenario) (*runner, error) {
 func (r *runner) pickVertex() graph.VID {
 	sc := &r.sc
 	span := int(sc.Vertices) / sc.Tenants
-	tenant := r.rng.zipfIdx(sc.Tenants, sc.TenantSkew)
-	return graph.VID(tenant*span + r.rng.zipfIdx(span, sc.ZipfSkew))
+	tenant := zipfIdx(&r.rng, sc.Tenants, sc.TenantSkew)
+	return graph.VID(tenant*span + zipfIdx(&r.rng, span, sc.ZipfSkew))
 }
 
 // jitter draws a deterministic inter-arrival gap with mean base:
 // uniform over [base/2, 3*base/2).
-func (r *rng) jitter(base int64) int64 {
+func jitter(r *rng.Stream, base int64) int64 {
 	if base <= 0 {
 		return math.MaxInt64
 	}
-	return base/2 + int64(r.next()%uint64(base))
+	return base/2 + int64(r.Uint64n(uint64(base)))
 }
 
 // inBurst reports whether virtual time t falls inside a burst.
@@ -446,10 +431,10 @@ func (r *runner) drive() {
 	const never = int64(math.MaxInt64)
 	nextRead, nextWrite, nextScrape := never, never, never
 	if readBase > 0 {
-		nextRead = r.rng.jitter(readBase)
+		nextRead = jitter(&r.rng, readBase)
 	}
 	if writeBase > 0 {
-		nextWrite = r.rng.jitter(writeBase)
+		nextWrite = jitter(&r.rng, writeBase)
 	}
 	if sc.ScrapeEvery > 0 {
 		nextScrape = int64(sc.ScrapeEvery)
@@ -494,10 +479,10 @@ func (r *runner) drive() {
 			if base < 1 {
 				base = 1
 			}
-			nextWrite += r.rng.jitter(base)
+			nextWrite += jitter(&r.rng, base)
 		case 3:
 			r.read()
-			nextRead += r.rng.jitter(readBase)
+			nextRead += jitter(&r.rng, readBase)
 		}
 	}
 }
@@ -602,9 +587,9 @@ const soakLabel = "hot"
 func (r *runner) read() {
 	sc := &r.sc
 	v := r.pickVertex()
-	khop := sc.KHopFrac > 0 && r.rng.float() < sc.KHopFrac
+	khop := sc.KHopFrac > 0 && r.rng.Float() < sc.KHopFrac
 	filtered := false
-	if !khop && sc.FilteredKHopFrac > 0 && r.rng.float() < sc.FilteredKHopFrac {
+	if !khop && sc.FilteredKHopFrac > 0 && r.rng.Float() < sc.FilteredKHopFrac {
 		khop, filtered = true, true
 	}
 
@@ -659,14 +644,14 @@ func (r *runner) read() {
 
 func (r *runner) write() {
 	sc := &r.sc
-	del := sc.DeleteFrac > 0 && r.rng.float() < sc.DeleteFrac
+	del := sc.DeleteFrac > 0 && r.rng.Float() < sc.DeleteFrac
 	// Split the arrival by owner shard; each part is admitted (or shed)
 	// against its shard's live threshold independently, like the real
 	// router does.
 	parts := make([][]graph.Edge, sc.Shards)
 	for i := 0; i < sc.WriteBatch; i++ {
 		src := r.pickVertex()
-		dst := graph.VID(r.rng.intn(int(sc.Vertices)))
+		dst := graph.VID(r.rng.Uint64n(uint64(sc.Vertices)))
 		e := graph.Edge{Src: src, Dst: dst}
 		if del {
 			e = graph.Del(src, dst)

@@ -2,6 +2,7 @@ package soak
 
 import (
 	"encoding/json"
+	"hash/fnv"
 	"os"
 	"reflect"
 	"strings"
@@ -258,5 +259,29 @@ func TestScenarioRoundTrip(t *testing.T) {
 func TestUnknownScenario(t *testing.T) {
 	if _, err := ByName("no-such-scenario"); err == nil {
 		t.Fatal("expected an error for an unknown scenario")
+	}
+}
+
+// TestReportGolden pins one short run's report to a recorded hash, so
+// the replay is stable across changes to the random source, not only
+// between two runs of the same binary.
+func TestReportGolden(t *testing.T) {
+	sc, err := ByName(ShortMix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Horizon = time.Second
+	rep, err := Run(sc, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(js)
+	if got, want := h.Sum64(), uint64(0xdf5243de7643a0be); got != want {
+		t.Fatalf("report hash = %#x, want %#x\n%s", got, want, js)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/rng"
 )
 
 // This file implements crash-point fault injection for the simulated
@@ -225,7 +227,7 @@ func (f *Faults) tearLine(old, new []byte, eventN int64) []byte {
 	words := len(new) / 8
 	out := make([]byte, len(new))
 	copy(out, old)
-	r := splitmix64(seed ^ uint64(eventN)*0x9E3779B97F4A7C15)
+	r := rng.Draw(seed ^ uint64(eventN)*rng.Gamma)
 	switch mode {
 	case TearNone:
 		// Dropped entirely: keep old contents.
@@ -233,7 +235,7 @@ func (f *Faults) tearLine(old, new []byte, eventN int64) []byte {
 		k := int(r % uint64(words+1))
 		copy(out[:k*8], new[:k*8])
 	case TearWords:
-		mask := splitmix64(r)
+		mask := rng.Draw(r)
 		for w := 0; w < words; w++ {
 			if mask&(1<<uint(w%64)) != 0 {
 				copy(out[w*8:w*8+8], new[w*8:w*8+8])
@@ -241,15 +243,4 @@ func (f *Faults) tearLine(old, new []byte, eventN int64) []byte {
 		}
 	}
 	return out
-}
-
-// splitmix64 is the SplitMix64 mixing function — a tiny, deterministic
-// PRNG step with no global state (Date/rand are off-limits in the
-// deterministic simulation).
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	z := x
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
 }

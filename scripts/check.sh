@@ -37,6 +37,12 @@ fi
 echo "== go build ./..."
 go build ./...
 
+echo "== perfbench vet + self-tests"
+# perfbench is its own Go module (replace repro => ../), so neither the
+# builds above nor tier-1 compile it; this step catches a change to the
+# surface the benchmark calls before the benchmark itself is run.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== go test -race -short ./..."
 # Short mode caps the exhaustive crash-point sweeps to deterministic
 # subsamples; the full sweeps run under plain `go test ./...` (and in CI).

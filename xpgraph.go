@@ -12,7 +12,13 @@
 //	...
 //	g.AddEdge(1, 2)
 //	ctx := xpgraph.NewQueryCtx(0)
-//	nbrs := g.NbrsOut(ctx, 1, nil)
+//	nbrs := g.Nbrs(ctx, xpgraph.Out, 1, nil)
+//
+// Snapshots and the other read sources are read through Graph, which
+// adds the direction-fixed conveniences to any View:
+//
+//	snap := g.Snapshot(ctx)
+//	old := xpgraph.Graph{Source: snap}.NbrsOut(ctx, 1, nil)
 //
 // See the examples/ directory for complete programs and internal/bench
 // for the per-figure experiment harness.
@@ -65,14 +71,16 @@ type (
 	Budget = mem.Budget
 	// Dataset is a catalog workload (Table II stand-ins).
 	Dataset = gen.Dataset
-	// View is the canonical read surface every query workload is written
-	// against. Three stores conform: Store (the live XPGraph view),
-	// Snapshot (a consistent point-in-time view that stays stable while
-	// ingestion continues and survives compaction), and the GraphOne
-	// baseline store. The analytics engine, the HTTP server and the
-	// benchmark harness all consume this contract, so any conformer can
-	// be swapped in underneath them.
-	View = view.View
+	// View is the read surface every query workload is written against:
+	// eight primitives that take a direction (DESIGN.md §6.1). Store (the
+	// live XPGraph view), Snapshot (a consistent point-in-time view that
+	// stays stable while ingestion continues and survives compaction) and
+	// the GraphOne baseline store conform, so any of them can be swapped
+	// in underneath the analytics engine and the benchmark harness.
+	View = view.Source
+	// Graph wraps a View with the direction-fixed conveniences (NbrsOut,
+	// VisitIn, OutDegree, ...).
+	Graph = view.Graph
 )
 
 // Compile-time conformance of the three stores to View.
@@ -85,7 +93,8 @@ var (
 // GuardView wraps a View so every method runs under mu.RLock, letting
 // readers share it with a writer that mutates the underlying store under
 // mu.Lock — the synchronization the HTTP server uses between published
-// snapshots and the ingest pipeline.
+// snapshots and the ingest pipeline. Visit materializes under the lock
+// and calls back after releasing it.
 func GuardView(v View, mu *sync.RWMutex) View { return view.Guard(v, mu) }
 
 // Variant selectors and NUMA/buffer modes.

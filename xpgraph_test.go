@@ -23,11 +23,11 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := xpgraph.NewQueryCtx(0)
-	out := g.NbrsOut(ctx, 1, nil)
+	out := g.Nbrs(ctx, xpgraph.Out, 1, nil)
 	if len(out) != 1 || out[0] != 2 {
 		t.Fatalf("out(1) = %v, want [2]", out)
 	}
-	in := g.NbrsIn(ctx, 1, nil)
+	in := g.Nbrs(ctx, xpgraph.In, 1, nil)
 	if len(in) != 1 || in[0] != 2 {
 		t.Fatalf("in(1) = %v, want [2]", in)
 	}
@@ -47,7 +47,7 @@ func TestPublicAPICrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := xpgraph.NewQueryCtx(0)
-	want := len(g.NbrsOut(ctx, 0, nil))
+	want := len(g.Nbrs(ctx, xpgraph.Out, 0, nil))
 
 	g = nil // crash
 	rg, rep, err := xpgraph.Recover(m, h, nil, opts)
@@ -57,7 +57,7 @@ func TestPublicAPICrashRecovery(t *testing.T) {
 	if rep.SimNs <= 0 {
 		t.Fatal("recovery must cost simulated time")
 	}
-	if got := len(rg.NbrsOut(ctx, 0, nil)); got != want {
+	if got := len(rg.Nbrs(ctx, xpgraph.Out, 0, nil)); got != want {
 		t.Fatalf("recovered out(0) = %d nbrs, want %d", got, want)
 	}
 }
@@ -86,11 +86,11 @@ func TestPublicSnapshot(t *testing.T) {
 	if err := g.AddEdge(1, 3); err != nil {
 		t.Fatal(err)
 	}
-	old := snap.NbrsOut(ctx, 1, nil)
+	old := xpgraph.Graph{Source: snap}.NbrsOut(ctx, 1, nil)
 	if len(old) != 1 || old[0] != 2 {
 		t.Fatalf("snapshot view = %v, want [2]", old)
 	}
-	if live := g.NbrsOut(ctx, 1, nil); len(live) != 2 {
+	if live := g.Nbrs(ctx, xpgraph.Out, 1, nil); len(live) != 2 {
 		t.Fatalf("live view = %v", live)
 	}
 }
