@@ -2,10 +2,10 @@ package adj
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/difftest"
 	"repro/internal/graph"
 	"repro/internal/pmem"
 	"repro/internal/xpsim"
@@ -23,25 +23,6 @@ func testStore(t *testing.T) (*Store, *pmem.Region, *xpsim.Machine, *xpsim.Ctx) 
 	return New(r, lat, 16, Options{}), r, m, xpsim.NewCtx(0)
 }
 
-func sorted(u []uint32) []uint32 {
-	v := append([]uint32(nil), u...)
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-	return v
-}
-
-func equalMultiset(a, b []uint32) bool {
-	a, b = sorted(a), sorted(b)
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestAppendNeighbors(t *testing.T) {
 	s, _, _, ctx := testStore(t)
 	if err := s.Append(ctx, 3, []uint32{10, 11, 12}); err != nil {
@@ -51,7 +32,7 @@ func TestAppendNeighbors(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := s.Neighbors(ctx, 3, nil)
-	if !equalMultiset(got, []uint32{10, 11, 12, 13}) {
+	if difftest.Diff(got, []uint32{10, 11, 12, 13}) != "" {
 		t.Fatalf("neighbors = %v", got)
 	}
 	if s.Records(3) != 4 {
@@ -74,7 +55,7 @@ func TestChainAcrossBlocks(t *testing.T) {
 	if s.Blocks() < 2 {
 		t.Fatalf("expected multiple blocks, got %d", s.Blocks())
 	}
-	if got := s.Neighbors(ctx, 1, nil); !equalMultiset(got, want) {
+	if got := s.Neighbors(ctx, 1, nil); difftest.Diff(got, want) != "" {
 		t.Fatalf("%d neighbors back, want %d", len(got), len(want))
 	}
 }
@@ -95,7 +76,7 @@ func TestCompactResolvesTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := s.Neighbors(ctx, 4, nil)
-	if !equalMultiset(got, []uint32{1, 2, 3}) {
+	if difftest.Diff(got, []uint32{1, 2, 3}) != "" {
 		t.Fatalf("after compact: %v", got)
 	}
 	// Everything now sits in one block.
@@ -137,7 +118,7 @@ func TestRecoverRebuildsChains(t *testing.T) {
 		t.Fatalf("recovered blocks=%d bytes=%d, want %d/%d", rs.Blocks(), rs.Bytes(), s.Blocks(), s.Bytes())
 	}
 	for v, w := range want {
-		if got := rs.Neighbors(ctx, v, nil); !equalMultiset(got, w) {
+		if got := rs.Neighbors(ctx, v, nil); difftest.Diff(got, w) != "" {
 			t.Fatalf("vertex %d: recovered %d nbrs, want %d", v, len(got), len(w))
 		}
 		if rs.Records(v) != s.Records(v) {
@@ -173,7 +154,7 @@ func TestAppendNeighborsProperty(t *testing.T) {
 			want[v] = append(want[v], nbrs...)
 		}
 		for v, w := range want {
-			if !equalMultiset(s.Neighbors(ctx, v, nil), w) {
+			if difftest.Diff(s.Neighbors(ctx, v, nil), w) != "" {
 				return false
 			}
 		}
@@ -306,7 +287,7 @@ func TestRecoverAfterRecycleReorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := rs.Neighbors(ctx, 2, nil)
-	if !equalMultiset(got, want2) {
+	if difftest.Diff(got, want2) != "" {
 		t.Fatalf("recovered vertex 2: %d records, want %d", len(got), len(want2))
 	}
 	if rs.Records(2) != len(want2) {
@@ -323,7 +304,7 @@ func TestVisitAndOldestFirst(t *testing.T) {
 	}
 	var visited []uint32
 	s.Visit(ctx, 7, func(n uint32) { visited = append(visited, n) })
-	if !equalMultiset(visited, want) {
+	if difftest.Diff(visited, want) != "" {
 		t.Fatalf("Visit yielded %d records, want %d", len(visited), len(want))
 	}
 	old := s.NeighborsOldestFirst(ctx, 7, nil)

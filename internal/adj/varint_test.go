@@ -4,9 +4,11 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/difftest"
 	"repro/internal/graph"
 	"repro/internal/pmem"
 	"repro/internal/xpsim"
@@ -78,10 +80,10 @@ func TestVarintAppendAndRead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.NeighborsOldestFirst(ctx, 3, nil); !equalU32s(got, want) {
+	if got := s.NeighborsOldestFirst(ctx, 3, nil); !slices.Equal(got, want) {
 		t.Fatalf("oldest-first = %v, want %v", got, want)
 	}
-	if got := s.Neighbors(ctx, 3, nil); !equalMultiset(got, want) {
+	if got := s.Neighbors(ctx, 3, nil); difftest.Diff(got, want) != "" {
 		t.Fatalf("neighbors = %v", got)
 	}
 	if s.Records(3) != len(want) {
@@ -106,7 +108,7 @@ func TestVarintChainAcrossBlocks(t *testing.T) {
 	if s.Blocks() < 2 {
 		t.Fatalf("expected multiple blocks, got %d", s.Blocks())
 	}
-	if got := s.NeighborsOldestFirst(ctx, 1, nil); !equalU32s(got, want) {
+	if got := s.NeighborsOldestFirst(ctx, 1, nil); !slices.Equal(got, want) {
 		t.Fatalf("%d neighbors back, want %d (order-preserving)", len(got), len(want))
 	}
 	visited := 0
@@ -139,7 +141,7 @@ func TestMixedFormatChain(t *testing.T) {
 	if st.FixedRecords == 0 || st.VarintRecords == 0 {
 		t.Fatalf("expected both formats in use: %+v", st)
 	}
-	if got := s.NeighborsOldestFirst(ctx, 5, nil); !equalU32s(got, want) {
+	if got := s.NeighborsOldestFirst(ctx, 5, nil); !slices.Equal(got, want) {
 		t.Fatalf("mixed chain read back %d records, want %d", len(got), len(want))
 	}
 
@@ -149,7 +151,7 @@ func TestMixedFormatChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rs.NeighborsOldestFirst(ctx, 5, nil); !equalU32s(got, want) {
+	if got := rs.NeighborsOldestFirst(ctx, 5, nil); !slices.Equal(got, want) {
 		t.Fatalf("recovered mixed chain mismatch: %d records, want %d", len(got), len(want))
 	}
 	more := []uint32{1, math.MaxUint32, 2, 2}
@@ -157,7 +159,7 @@ func TestMixedFormatChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	want = append(want, more...)
-	if got := rs.NeighborsOldestFirst(ctx, 5, nil); !equalU32s(got, want) {
+	if got := rs.NeighborsOldestFirst(ctx, 5, nil); !slices.Equal(got, want) {
 		t.Fatalf("post-recovery append mismatch: got %d records, want %d", len(got), len(want))
 	}
 }
@@ -175,7 +177,7 @@ func TestVarintCompactSortsAndResolves(t *testing.T) {
 	}
 	got := s.NeighborsOldestFirst(ctx, 1, nil)
 	want := []uint32{10, 20, 30, 40} // sorted run, one tombstone resolved
-	if !equalU32s(got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("compacted = %v, want %v", got, want)
 	}
 	if s.Records(1) != len(want) {
@@ -221,7 +223,7 @@ func TestVarintRecoverTailCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rs.NeighborsOldestFirst(ctx, 4, nil); !equalU32s(got, want) {
+	if got := rs.NeighborsOldestFirst(ctx, 4, nil); !slices.Equal(got, want) {
 		t.Fatalf("recovered %d records, want %d", len(got), len(want))
 	}
 	// Appends after recovery continue the tail's delta chain; a wrong byte
@@ -233,7 +235,7 @@ func TestVarintRecoverTailCursor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := rs.NeighborsOldestFirst(ctx, 4, nil); !equalU32s(got, want) {
+	if got := rs.NeighborsOldestFirst(ctx, 4, nil); !slices.Equal(got, want) {
 		t.Fatalf("post-recovery appends garbled: got %d records, want %d", len(got), len(want))
 	}
 }
@@ -258,7 +260,7 @@ func TestVarintChecksumsDetectCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalMultiset(got, want) {
+	if difftest.Diff(got, want) != "" {
 		t.Fatalf("checked read %d records, want %d", len(got), len(want))
 	}
 
@@ -308,24 +310,12 @@ func TestVarintReplaceChainRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalU32s(got, recs) {
+	if !slices.Equal(got, recs) {
 		t.Fatalf("replaced chain = %v, want %v (as given)", got, recs)
 	}
 	if err := s.VerifyChain(ctx, 8); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func equalU32s(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // FuzzVarintBlockDecode throws arbitrary payload bytes at the streaming

@@ -5,58 +5,19 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/pmem"
 	"repro/internal/prop"
+	"repro/internal/view"
 	"repro/internal/xpsim"
 )
 
-// mapView is a plain in-memory reference view.
-type mapView struct {
-	n        graph.VID
-	out, in  map[graph.VID][]uint32
-	nodeOfFn func(graph.VID) int
+// newMapView serves edges as a plain in-memory reference view.
+func newMapView(numV graph.VID, edges []graph.Edge) view.Source {
+	return difftest.FromEdges(edges).Source(numV)
 }
-
-func newMapView(numV graph.VID, edges []graph.Edge) *mapView {
-	mv := &mapView{n: numV, out: map[graph.VID][]uint32{}, in: map[graph.VID][]uint32{}}
-	for _, e := range edges {
-		mv.out[e.Src] = append(mv.out[e.Src], e.Dst)
-		mv.in[e.Dst] = append(mv.in[e.Dst], e.Src)
-	}
-	return mv
-}
-
-func (m *mapView) adj(d graph.Direction) map[graph.VID][]uint32 {
-	if d == graph.Out {
-		return m.out
-	}
-	return m.in
-}
-
-func (m *mapView) NumVertices() graph.VID { return m.n }
-func (m *mapView) Degree(d graph.Direction, v graph.VID) int {
-	return len(m.adj(d)[v])
-}
-func (m *mapView) Node(d graph.Direction, v graph.VID) int {
-	if m.nodeOfFn != nil {
-		return m.nodeOfFn(v)
-	}
-	return xpsim.NodeUnbound
-}
-func (m *mapView) Visit(ctx *xpsim.Ctx, d graph.Direction, v graph.VID, f prop.Filter, fn func(uint32)) error {
-	for _, u := range m.adj(d)[v] {
-		fn(u)
-	}
-	return nil
-}
-func (m *mapView) NbrsChecked(ctx *xpsim.Ctx, d graph.Direction, v graph.VID, dst []uint32) ([]uint32, error) {
-	return append(dst, m.adj(d)[v]...), nil
-}
-func (m *mapView) Label(src, dst graph.VID) (uint16, error)           { return graph.DefaultLabel, nil }
-func (m *mapView) Labels() []string                                   { return []string{""} }
-func (m *mapView) VProp(v graph.VID, key uint16) (int64, bool, error) { return 0, false, nil }
 
 func testLat() *xpsim.LatencyModel {
 	lat := xpsim.DefaultLatency()
@@ -86,8 +47,8 @@ func TestBFSLineGraph(t *testing.T) {
 
 func TestBFSMatchesReferenceOnRMAT(t *testing.T) {
 	edges := gen.RMAT(10, 8000, 9)
-	mv := newMapView(1024, edges)
-	e := NewEngine(mv, testLat(), 8)
+	ref := difftest.FromEdges(edges)
+	e := NewEngine(ref.Source(1024), testLat(), 8)
 	res := e.BFS(0)
 
 	// Reference BFS.
@@ -98,7 +59,7 @@ func TestBFSMatchesReferenceOnRMAT(t *testing.T) {
 	for len(q) > 0 {
 		v := q[0]
 		q = q[1:]
-		for _, u := range mv.out[v] {
+		for _, u := range ref.Want(graph.Out, v, prop.Filter{}) {
 			if !visited[u] {
 				visited[u] = true
 				count++
@@ -130,8 +91,8 @@ func TestCCComponents(t *testing.T) {
 
 func TestPageRankProperties(t *testing.T) {
 	edges := gen.RMAT(8, 2000, 10)
-	mv := newMapView(256, edges)
-	e := NewEngine(mv, testLat(), 4)
+	ref := difftest.FromEdges(edges)
+	e := NewEngine(ref.Source(256), testLat(), 4)
 	res := e.PageRank(10)
 	var sum float64
 	for _, r := range res.Ranks {
@@ -148,15 +109,15 @@ func TestPageRankProperties(t *testing.T) {
 	// A hub with many in-edges must outrank an untouched vertex.
 	var hub graph.VID
 	best := 0
-	for v, ins := range mv.in {
-		if len(ins) > best {
-			best = len(ins)
+	for v := graph.VID(0); v < 256; v++ {
+		if ins := ref.Degree(graph.In, v); ins > best {
+			best = ins
 			hub = v
 		}
 	}
 	var lone graph.VID
 	for v := graph.VID(0); v < 256; v++ {
-		if len(mv.in[v]) == 0 {
+		if ref.Degree(graph.In, v) == 0 {
 			lone = v
 			break
 		}

@@ -13,9 +13,11 @@
 //   - no follower is damaged: chaos is transport-level noise, and the
 //     replica state machine must classify all of it as transient.
 //
-// Everything is derived from one uint64 seed — the chaos plan, the
-// workload, the partition windows — so a failing run replays exactly
-// with `-chaostest.seed=<seed>`.
+// The comparisons are internal/difftest's Check: label table, neighbor
+// multisets per direction and label, labels and properties. Everything
+// is derived from one uint64 seed — the chaos plan, the workload, the
+// partition windows — so a failing run replays exactly with
+// `-chaostest.seed=<seed>`.
 package chaostest
 
 import (
@@ -25,12 +27,11 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/pmem"
-	"repro/internal/prop"
 	"repro/internal/rng"
-	"repro/internal/view"
 	"repro/internal/xpsim"
 )
 
@@ -290,16 +291,18 @@ func Run(o Options) (Result, error) {
 	}
 
 	// Differential 1: the cluster view vs the reference store.
-	if err := compareView(cl, ref); err != nil {
+	want := difftest.Read(ref, 1)
+	if err := checkView(cl, want); err != nil {
 		return fail("cluster view vs reference: %v", err)
 	}
 
-	// Differential 2: every follower store vs its leader store —
-	// edge-for-edge net adjacency, label-for-label, prop-for-prop.
+	// Differential 2: every follower store vs its leader store on the
+	// vertices the shard owns.
 	for i := 0; i < cl.Shards(); i++ {
 		sh := cl.Shard(i)
+		owned := difftest.Opts{Only: func(v graph.VID) bool { return cl.Owner(v) == i }}
 		for ri, r := range sh.Replicas() {
-			if err := compareStores(cl, i, sh.Store(), r.Store()); err != nil {
+			if err := difftest.Check(r.Store(), difftest.Read(sh.Store(), 1), owned); err != nil {
 				return fail("shard %d replica %d vs leader: %v", i, ri, err)
 			}
 		}
@@ -309,144 +312,15 @@ func Run(o Options) (Result, error) {
 	// serves from a chaos-survivor follower and the view must still
 	// answer exactly what the reference does.
 	cl.KillShard(int(rng.Draw(o.Seed^0x400) % uint64(cl.Shards())))
-	if err := compareView(cl, ref); err != nil {
+	if err := checkView(cl, want); err != nil {
 		return fail("post-leader-kill view vs reference: %v", err)
 	}
 	return res, nil
 }
 
-// compareView checks the ClusterView against the reference store on
-// every vertex: out/in adjacency (order-free), typed out-neighbors with
-// their labels, and the per-vertex property.
-func compareView(cl *cluster.Cluster, ref *core.Store) error {
+// checkView checks a freshly acquired ClusterView against want.
+func checkView(cl *cluster.Cluster, want *difftest.Oracle) error {
 	cv := cl.AcquireView()
 	defer cv.Release()
-	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
-	if got, want := cv.NumVertices(), ref.NumVertices(); got != want {
-		return fmt.Errorf("NumVertices = %d, want %d", got, want)
-	}
-	for v := graph.VID(0); v < ref.NumVertices(); v++ {
-		if err := sameSet("out", v, cv.NbrsOut(ctx, v, nil), ref.Nbrs(ctx, core.Out, v, nil)); err != nil {
-			return err
-		}
-		if err := sameSet("in", v, cv.NbrsIn(ctx, v, nil), ref.Nbrs(ctx, core.In, v, nil)); err != nil {
-			return err
-		}
-		got, err := typedOut(cv, v)
-		if err != nil {
-			return err
-		}
-		want, err := typedOut(ref, v)
-		if err != nil {
-			return err
-		}
-		if err := sameLabeled(v, got, want); err != nil {
-			return err
-		}
-		gv, gok, err := cv.VProp(v, 1)
-		if err != nil {
-			return err
-		}
-		wv, wok, err := ref.VProp(v, 1)
-		if err != nil {
-			return err
-		}
-		if gv != wv || gok != wok {
-			return fmt.Errorf("VProp(%d) = %d,%v, want %d,%v", v, gv, gok, wv, wok)
-		}
-	}
-	return nil
-}
-
-// compareStores checks one follower store against its leader on the
-// vertices the shard owns.
-func compareStores(cl *cluster.Cluster, shardID int, leader, rep *core.Store) error {
-	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
-	lt, rt := leader.Labels(), rep.Labels()
-	if len(lt) != len(rt) {
-		return fmt.Errorf("label table %v, leader %v", rt, lt)
-	}
-	for i := range lt {
-		if lt[i] != rt[i] {
-			return fmt.Errorf("label %d = %q, leader %q", i, rt[i], lt[i])
-		}
-	}
-	for v := graph.VID(0); v < leader.NumVertices(); v++ {
-		if cl.Owner(v) != shardID {
-			continue
-		}
-		if err := sameSet("out", v, rep.Nbrs(ctx, core.Out, v, nil), leader.Nbrs(ctx, core.Out, v, nil)); err != nil {
-			return err
-		}
-		got, err := typedOut(rep, v)
-		if err != nil {
-			return err
-		}
-		want, err := typedOut(leader, v)
-		if err != nil {
-			return err
-		}
-		if err := sameLabeled(v, got, want); err != nil {
-			return err
-		}
-		gv, gok, err := rep.VProp(v, 1)
-		if err != nil {
-			return err
-		}
-		wv, wok, err := leader.VProp(v, 1)
-		if err != nil {
-			return err
-		}
-		if gv != wv || gok != wok {
-			return fmt.Errorf("VProp(%d) = %d,%v, leader %d,%v", v, gv, gok, wv, wok)
-		}
-	}
-	return nil
-}
-
-// typedOut maps v's out-neighbors to their edge labels.
-func typedOut(src view.Source, v graph.VID) (map[uint32]uint16, error) {
-	out := map[uint32]uint16{}
-	var lerr error
-	err := src.Visit(xpsim.NewCtx(xpsim.NodeUnbound), graph.Out, v, prop.Filter{}, func(nbr uint32) {
-		lbl, err := src.Label(v, nbr)
-		if err != nil && lerr == nil {
-			lerr = err
-		}
-		out[nbr] = lbl
-	})
-	if err == nil {
-		err = lerr
-	}
-	return out, err
-}
-
-func sameLabeled(v graph.VID, got, want map[uint32]uint16) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("typed out(%d): %d neighbors, want %d", v, len(got), len(want))
-	}
-	for nbr, lbl := range want {
-		if got[nbr] != lbl {
-			return fmt.Errorf("typed out(%d) nbr %d label %d, want %d", v, nbr, got[nbr], lbl)
-		}
-	}
-	return nil
-}
-
-// sameSet compares two neighbor lists as multisets.
-func sameSet(dir string, v graph.VID, got, want []uint32) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("%s(%d): %d neighbors %v, want %d %v", dir, v, len(got), got, len(want), want)
-	}
-	count := map[uint32]int{}
-	for _, n := range want {
-		count[n]++
-	}
-	for _, n := range got {
-		count[n]--
-		if count[n] < 0 {
-			return fmt.Errorf("%s(%d): unexpected neighbor %d (got %v, want %v)", dir, v, n, got, want)
-		}
-	}
-	return nil
+	return difftest.Check(cv, want, difftest.Opts{})
 }

@@ -2,11 +2,9 @@ package chaostest
 
 import (
 	"flag"
-	"fmt"
-	"os"
 	"testing"
 
-	"repro/internal/rng"
+	"repro/internal/difftest"
 )
 
 // Replay and scale knobs. A failing sweep prints the exact command to
@@ -15,8 +13,8 @@ import (
 //	go test ./internal/chaostest/ -run TestChaosDifferential -chaostest.seed=0x<seed>
 //
 // The nightly workflow widens the sweep and the workload with
-// -chaostest.sweep / -chaostest.edges and collects failing seeds from
-// the log.
+// -chaostest.sweep / -chaostest.edges and collects failing seeds in the
+// $DIFFTEST_SEED_LOG file.
 var (
 	seedFlag  = flag.Uint64("chaostest.seed", 0, "replay exactly one chaos schedule by seed (0 = run the sweep)")
 	sweepFlag = flag.Int("chaostest.sweep", 4, "number of seeded schedules per sweep")
@@ -25,49 +23,23 @@ var (
 
 // TestChaosDifferential runs seeded chaos schedules over a sharded
 // cluster with replicas and requires exact convergence with a reference
-// store once the chaos heals — the PR-10 acceptance differential.
+// store once the chaos heals.
 func TestChaosDifferential(t *testing.T) {
 	if testing.Short() && *seedFlag == 0 && *sweepFlag > 2 {
 		*sweepFlag = 2
 	}
-	seeds := make([]uint64, 0, *sweepFlag)
+	// Fixed base: the default sweep is deterministic in CI; the nightly
+	// varies it by widening the sweep, not the base.
+	seeds := difftest.Seeds(0xC4A0_5EED, *sweepFlag)
 	if *seedFlag != 0 {
-		seeds = append(seeds, *seedFlag)
-	} else {
-		// Fixed base: the default sweep is deterministic in CI; the
-		// nightly varies it by widening the sweep, not the base.
-		const base = 0xC4A0_5EED
-		for i := 0; i < *sweepFlag; i++ {
-			seeds = append(seeds, rng.Draw(base+uint64(i)))
-		}
+		seeds = []uint64{*seedFlag}
 	}
-	for _, seed := range seeds {
-		seed := seed
-		t.Run(fmt.Sprintf("seed_%#x", seed), func(t *testing.T) {
-			res, err := Run(Options{Seed: seed, PlainEdges: *edgesFlag})
-			if err != nil {
-				logFailingSeed(t, seed)
-				t.Fatalf("%v\nreplay: go test ./internal/chaostest/ -run TestChaosDifferential -chaostest.seed=%#x", err, seed)
-			}
+	const replay = "go test ./internal/chaostest/ -run TestChaosDifferential -chaostest.seed=%#x"
+	difftest.RunSeeds(t, seeds, replay, func(t *testing.T, seed uint64) error {
+		res, err := Run(Options{Seed: seed, PlainEdges: *edgesFlag})
+		if err == nil {
 			t.Logf("seed %#x converged: %v", seed, res)
-		})
-	}
-}
-
-// logFailingSeed appends the seed to $CHAOSTEST_SEED_LOG when set — the
-// nightly workflow points it at an artifact file so failing schedules
-// survive the run.
-func logFailingSeed(t *testing.T, seed uint64) {
-	t.Helper()
-	path := os.Getenv("CHAOSTEST_SEED_LOG")
-	if path == "" {
-		return
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Logf("seed log: %v", err)
-		return
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "%#x\n", seed)
+		}
+		return err
+	})
 }

@@ -4,12 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/analytics"
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/pmem"
@@ -95,24 +96,6 @@ func waitReplicasCaughtUp(t *testing.T, cl *Cluster) {
 	}
 }
 
-func sorted(nbrs []uint32) []uint32 {
-	out := append([]uint32(nil), nbrs...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func equalU32(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestClusterDifferential is the acceptance differential: a 4-shard
 // cluster with one follower per shard, fed through the routed pipelines,
 // serves reads through its ClusterView identical to a single store fed
@@ -132,35 +115,20 @@ func TestClusterDifferential(t *testing.T) {
 	defer rv.Release()
 	cv := cl.AcquireView()
 	defer cv.Release()
-	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
-
-	if got, want := cv.NumVertices(), rv.NumVertices(); got != want {
-		t.Fatalf("NumVertices = %d, want %d", got, want)
-	}
 	if len(cv.EpochVector()) != 4 {
 		t.Fatalf("epoch vector = %v, want length 4", cv.EpochVector())
 	}
+	want := difftest.Read(rv)
+	for _, opts := range []difftest.Opts{{}, {Checked: true}} {
+		if err := difftest.Check(cv, want, opts); err != nil {
+			t.Fatalf("cluster vs single (checked=%v): %v", opts.Checked, err)
+		}
+	}
+	// Shards split the records, so the sums match exactly.
 	for v := graph.VID(0); v < rv.NumVertices(); v++ {
-		refOut := sorted(rv.NbrsOut(ctx, v, nil))
-		gotOut := sorted(cv.NbrsOut(ctx, v, nil))
-		if !equalU32(refOut, gotOut) {
-			t.Fatalf("NbrsOut(%d): cluster %v, single %v", v, gotOut, refOut)
-		}
-		refIn := sorted(rv.NbrsIn(ctx, v, nil))
-		gotIn := sorted(cv.NbrsIn(ctx, v, nil))
-		if !equalU32(refIn, gotIn) {
-			t.Fatalf("NbrsIn(%d): cluster %v, single %v", v, gotIn, refIn)
-		}
 		if cv.OutDegree(v) != rv.OutDegree(v) || cv.InDegree(v) != rv.InDegree(v) {
 			t.Fatalf("degree(%d): cluster (%d,%d), single (%d,%d)",
 				v, cv.OutDegree(v), cv.InDegree(v), rv.OutDegree(v), rv.InDegree(v))
-		}
-		co, err := cv.NbrsOutChecked(ctx, v, nil)
-		if err != nil {
-			t.Fatalf("NbrsOutChecked(%d): %v", v, err)
-		}
-		if !equalU32(sorted(co), refOut) {
-			t.Fatalf("NbrsOutChecked(%d) diverges from NbrsOut", v)
 		}
 	}
 
@@ -210,12 +178,12 @@ func TestReplicaLagDifferential(t *testing.T) {
 			for v := graph.VID(0); v < leader.NumVertices(); v++ {
 				lo := append([]uint32(nil), leader.Nbrs(ctx, core.Out, v, nil)...)
 				ro := rep.Nbrs(ctx, core.Out, v, nil)
-				if !equalU32(lo, ro) { // same apply order: exact, unsorted
+				if !slices.Equal(lo, ro) { // same apply order: exact, unsorted
 					t.Fatalf("shard %d replica %d out(%d) = %v, leader %v", i, ri, v, ro, lo)
 				}
 				li := append([]uint32(nil), leader.Nbrs(ctx, core.In, v, nil)...)
 				rin := rep.Nbrs(ctx, core.In, v, nil)
-				if !equalU32(li, rin) {
+				if !slices.Equal(li, rin) {
 					t.Fatalf("shard %d replica %d in(%d) = %v, leader %v", i, ri, v, rin, li)
 				}
 			}
@@ -256,13 +224,10 @@ func TestFailoverToReplica(t *testing.T) {
 	cv := cl.AcquireView()
 	defer cv.Release()
 	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
+	if err := difftest.Check(cv, difftest.Read(rv), difftest.Opts{}); err != nil {
+		t.Fatalf("post-failover: %v", err)
+	}
 	for v := graph.VID(0); v < rv.NumVertices(); v++ {
-		if !equalU32(sorted(cv.NbrsOut(ctx, v, nil)), sorted(rv.NbrsOut(ctx, v, nil))) {
-			t.Fatalf("post-failover NbrsOut(%d) diverges", v)
-		}
-		if !equalU32(sorted(cv.NbrsIn(ctx, v, nil)), sorted(rv.NbrsIn(ctx, v, nil))) {
-			t.Fatalf("post-failover NbrsIn(%d) diverges", v)
-		}
 		if _, err := cv.NbrsOutChecked(ctx, v, nil); err != nil {
 			t.Fatalf("post-failover NbrsOutChecked(%d): %v", v, err)
 		}

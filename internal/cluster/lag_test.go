@@ -4,19 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/graph"
-	"repro/internal/xpsim"
+	"repro/internal/difftest"
 )
-
-// copyAdj deep-copies an adjacency accumulator so per-epoch expectations
-// stay frozen as later chunks land.
-func copyAdj(adj map[graph.VID][]uint32) map[graph.VID][]uint32 {
-	out := make(map[graph.VID][]uint32, len(adj))
-	for v, nbrs := range adj {
-		out[v] = append([]uint32(nil), nbrs...)
-	}
-	return out
-}
 
 // TestFailoverMidLagEpochMonotonic is the satellite-3 regression test:
 // kill a shard leader while its only replica is mid-lag (stalled with
@@ -56,10 +45,7 @@ func TestFailoverMidLagEpochMonotonic(t *testing.T) {
 	// chunk count under ReplicaQueue so the stalled follower never
 	// backpressures the leader.
 	all := testEdges(3000)
-	adjOut := map[graph.VID][]uint32{}
-	adjIn := map[graph.VID][]uint32{}
-	outAt := map[uint64]map[graph.VID][]uint32{1: {}} // epoch 1: initial empty publication
-	inAt := map[uint64]map[graph.VID][]uint32{1: {}}
+	wantAt := map[uint64]*difftest.Oracle{1: difftest.New()} // epoch 1: initial empty publication
 	const chunk = 300
 	for off := 0; off < len(all); off += chunk {
 		end := off + chunk
@@ -69,13 +55,7 @@ func TestFailoverMidLagEpochMonotonic(t *testing.T) {
 		if _, err := cl.Ingest(all[off:end], true); err != nil {
 			t.Fatalf("ingest chunk at %d: %v", off, err)
 		}
-		for _, e := range all[off:end] {
-			adjOut[e.Src] = append(adjOut[e.Src], e.Dst)
-			adjIn[graph.VID(e.Dst)] = append(adjIn[graph.VID(e.Dst)], uint32(e.Src))
-		}
-		epoch := sh.Epoch()
-		outAt[epoch] = copyAdj(adjOut)
-		inAt[epoch] = copyAdj(adjIn)
+		wantAt[sh.Epoch()] = difftest.FromEdges(all[:end])
 	}
 	finalEpoch := sh.Epoch()
 	if finalEpoch == 1 {
@@ -88,21 +68,14 @@ func TestFailoverMidLagEpochMonotonic(t *testing.T) {
 	// Leader dies with the replica maximally behind.
 	cl.KillShard(0)
 
-	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
 	checkAtEpoch := func(cv *ClusterView, epoch uint64) {
 		t.Helper()
-		wantOut, ok := outAt[epoch]
+		want, ok := wantAt[epoch]
 		if !ok {
 			t.Fatalf("view pinned at epoch %d, which no applied chunk produced", epoch)
 		}
-		wantIn := inAt[epoch]
-		for v := graph.VID(0); v < 256; v++ {
-			if got := sorted(cv.NbrsOut(ctx, v, nil)); !equalU32(got, sorted(wantOut[v])) {
-				t.Fatalf("epoch %d: NbrsOut(%d) = %v, want %v", epoch, v, got, sorted(wantOut[v]))
-			}
-			if got := sorted(cv.NbrsIn(ctx, v, nil)); !equalU32(got, sorted(wantIn[v])) {
-				t.Fatalf("epoch %d: NbrsIn(%d) = %v, want %v", epoch, v, got, sorted(wantIn[v]))
-			}
+		if err := difftest.Check(cv, want, difftest.Opts{}); err != nil {
+			t.Fatalf("epoch %d: %v", epoch, err)
 		}
 	}
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/graph"
 	"repro/internal/xpsim"
 )
@@ -97,10 +98,8 @@ func TestReplicaFrozenFollowerDoesNotStallLeader(t *testing.T) {
 	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
 	leader := sh.Store()
 	for v := graph.VID(0); v < leader.NumVertices(); v++ {
-		lo := sorted(append([]uint32(nil), leader.Nbrs(ctx, core.Out, v, nil)...))
-		ro := sorted(rep.Store().Nbrs(ctx, core.Out, v, nil))
-		if !equalU32(lo, ro) {
-			t.Fatalf("thawed follower out(%d) = %v, leader %v", v, ro, lo)
+		if diff := difftest.Diff(rep.Store().Nbrs(ctx, core.Out, v, nil), leader.Nbrs(ctx, core.Out, v, nil)); diff != "" {
+			t.Fatalf("thawed follower out(%d): %s", v, diff)
 		}
 	}
 }
@@ -251,10 +250,8 @@ func TestReplicaGapResyncAfterDrops(t *testing.T) {
 	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
 	leader := sh.Store()
 	for v := graph.VID(0); v < leader.NumVertices(); v++ {
-		lo := sorted(append([]uint32(nil), leader.Nbrs(ctx, core.Out, v, nil)...))
-		ro := sorted(rep.Store().Nbrs(ctx, core.Out, v, nil))
-		if !equalU32(lo, ro) {
-			t.Fatalf("out(%d): follower %v, leader %v", v, ro, lo)
+		if diff := difftest.Diff(rep.Store().Nbrs(ctx, core.Out, v, nil), leader.Nbrs(ctx, core.Out, v, nil)); diff != "" {
+			t.Fatalf("out(%d): follower vs leader: %s", v, diff)
 		}
 	}
 }

@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/graph"
 	"repro/internal/pmem"
 	"repro/internal/prop"
-	"repro/internal/view"
 	"repro/internal/xpsim"
 )
 
@@ -68,35 +68,6 @@ func typedWorkload(follows, blocks uint16) ([]graph.Edge, []uint16, []graph.Prop
 		props[v] = graph.PropSet{V: uint32(v), Key: 1, Val: int64(v % 50)}
 	}
 	return edges, labels, props
-}
-
-// typedOutOf collects v's filtered out-neighbors as a nbr→label map.
-func typedOutOf(t *testing.T, src view.Source, v graph.VID, f prop.Filter) map[uint32]uint16 {
-	t.Helper()
-	got := map[uint32]uint16{}
-	err := src.Visit(xpsim.NewCtx(xpsim.NodeUnbound), graph.Out, v, f, func(nbr uint32) {
-		lbl, err := src.Label(v, nbr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[nbr] = lbl
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got
-}
-
-func sameLabeled(a, b map[uint32]uint16) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // TestClusterTypedDifferential: a 4-shard cluster with one follower per
@@ -165,24 +136,20 @@ func TestClusterTypedDifferential(t *testing.T) {
 		{Key: 1, Op: prop.OpGe, Val: 25},
 		{Types: []uint16{blocks}, Key: 1, Op: prop.OpLt, Val: 10},
 	}
+	want := difftest.Read(single, 1)
+	if err := difftest.Check(cv, want, difftest.Opts{}); err != nil {
+		t.Fatalf("cluster vs single: %v", err)
+	}
+	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
 	for v := graph.VID(0); v < 256; v++ {
 		for _, f := range filters {
-			got := typedOutOf(t, cv, v, f)
-			want := typedOutOf(t, single, v, f)
-			if !sameLabeled(got, want) {
-				t.Fatalf("out(%d) filter %+v: cluster %v, single %v", v, f, got, want)
+			var got []uint32
+			if err := cv.Visit(ctx, graph.Out, v, f, func(n uint32) { got = append(got, n) }); err != nil {
+				t.Fatal(err)
 			}
-		}
-		cval, cok, err := cv.VProp(v, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sval, sok, err := single.VProp(v, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cval != sval || cok != sok {
-			t.Fatalf("VProp(%d) = %d,%v, single %d,%v", v, cval, cok, sval, sok)
+			if diff := difftest.Diff(got, want.Want(graph.Out, v, f)); diff != "" {
+				t.Fatalf("out(%d) filter %+v: %s", v, f, diff)
+			}
 		}
 	}
 
@@ -190,32 +157,10 @@ func TestClusterTypedDifferential(t *testing.T) {
 	waitReplicasCaughtUp(t, cl)
 	for i := 0; i < cl.Shards(); i++ {
 		leader := cl.Shard(i).Store()
+		owned := difftest.Opts{Only: func(v graph.VID) bool { return cl.Owner(v) == i }}
 		for _, r := range cl.Shard(i).Replicas() {
-			rs := r.Store()
-			lt := leader.Labels()
-			if rt := rs.Labels(); len(rt) != len(lt) || rt[follows] != lt[follows] || rt[blocks] != lt[blocks] {
-				t.Fatalf("shard %d replica label table = %v, leader %v", i, rt, lt)
-			}
-			for v := graph.VID(0); v < 256; v++ {
-				if cl.Owner(v) != i {
-					continue
-				}
-				got := typedOutOf(t, rs, v, prop.Filter{})
-				want := typedOutOf(t, leader, v, prop.Filter{})
-				if !sameLabeled(got, want) {
-					t.Fatalf("shard %d replica out(%d) = %v, leader %v", i, v, got, want)
-				}
-				rval, rok, err := rs.VProp(v, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lval, lok, err := leader.VProp(v, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rval != lval || rok != lok {
-					t.Fatalf("shard %d replica VProp(%d) = %d,%v, leader %d,%v", i, v, rval, rok, lval, lok)
-				}
+			if err := difftest.Check(r.Store(), difftest.Read(leader, 1), owned); err != nil {
+				t.Fatalf("shard %d replica vs leader: %v", i, err)
 			}
 		}
 	}

@@ -2,10 +2,10 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mem"
@@ -30,63 +30,19 @@ func newStore(t *testing.T, opts Options) *Store {
 	return s
 }
 
-// reference builds plain adjacency maps from an edge stream with multiset
-// deletion semantics.
-type reference struct {
-	out, in map[graph.VID][]uint32
-}
-
-func buildReference(edges []graph.Edge) *reference {
-	r := &reference{out: map[graph.VID][]uint32{}, in: map[graph.VID][]uint32{}}
-	for _, e := range edges {
-		if e.IsDelete() {
-			r.out[e.Src] = removeOne(r.out[e.Src], e.Target())
-			r.in[e.Target()] = removeOne(r.in[e.Target()], e.Src)
-			continue
-		}
-		r.out[e.Src] = append(r.out[e.Src], e.Dst)
-		r.in[e.Dst] = append(r.in[e.Dst], e.Src)
-	}
-	return r
-}
-
-func removeOne(s []uint32, v uint32) []uint32 {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == v {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
-func sortedU32(u []uint32) []uint32 {
-	v := append([]uint32(nil), u...)
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-	return v
-}
-
-func sameMultiset(a, b []uint32) bool {
-	a, b = sortedU32(a), sortedU32(b)
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func checkAgainstReference(t *testing.T, s *Store, ref *reference, numV graph.VID) {
+// checkAgainst fails t at the first divergence of s from the oracle,
+// through the Source primitives and through the public Nbrs read.
+func checkAgainst(t *testing.T, s *Store, want *difftest.Oracle) {
 	t.Helper()
+	if err := difftest.Check(s, want, difftest.Opts{}); err != nil {
+		t.Fatal(err)
+	}
 	ctx := xpsim.NewCtx(0)
-	for v := graph.VID(0); v < numV; v++ {
-		if got, want := s.Nbrs(ctx, Out, v, nil), ref.out[v]; !sameMultiset(got, want) {
-			t.Fatalf("vertex %d out: got %d nbrs %v, want %d %v", v, len(got), got, len(want), want)
-		}
-		if got, want := s.Nbrs(ctx, In, v, nil), ref.in[v]; !sameMultiset(got, want) {
-			t.Fatalf("vertex %d in: got %d nbrs, want %d", v, len(got), len(want))
+	for v := graph.VID(0); v < s.NumVertices(); v++ {
+		for _, d := range []Direction{Out, In} {
+			if diff := difftest.Diff(s.Nbrs(ctx, d, v, nil), want.Want(d, v, prop.Filter{})); diff != "" {
+				t.Fatalf("Nbrs(%d, dir %d): %s", v, d, diff)
+			}
 		}
 	}
 }
@@ -104,12 +60,12 @@ func TestIngestSmall(t *testing.T) {
 	if rep.TotalNs() <= 0 {
 		t.Fatal("ingest must cost simulated time")
 	}
-	checkAgainstReference(t, s, buildReference(edges), 8)
+	checkAgainst(t, s, difftest.FromEdges(edges))
 }
 
 func TestIngestRMATAllNUMAModes(t *testing.T) {
 	edges := gen.RMAT(10, 20000, 123)
-	ref := buildReference(edges)
+	ref := difftest.FromEdges(edges)
 	for name, mode := range map[string]NUMAMode{"none": NUMANone, "outin": NUMAOutIn, "subgraph": NUMASubgraph} {
 		t.Run(name, func(t *testing.T) {
 			s := newStore(t, Options{Name: "n-" + name, NumVertices: 1024, LogCapacity: 1 << 14,
@@ -117,14 +73,14 @@ func TestIngestRMATAllNUMAModes(t *testing.T) {
 			if _, err := s.Ingest(edges); err != nil {
 				t.Fatal(err)
 			}
-			checkAgainstReference(t, s, ref, 1024)
+			checkAgainst(t, s, ref)
 		})
 	}
 }
 
 func TestIngestBufferModes(t *testing.T) {
 	edges := gen.RMAT(9, 8000, 5)
-	ref := buildReference(edges)
+	ref := difftest.FromEdges(edges)
 	cases := map[string]Options{
 		"hier":    {Buffer: BufferHierarchical},
 		"fixed64": {Buffer: BufferFixed, MaxBufBytes: 64},
@@ -143,14 +99,14 @@ func TestIngestBufferModes(t *testing.T) {
 			if _, err := s.Ingest(edges); err != nil {
 				t.Fatal(err)
 			}
-			checkAgainstReference(t, s, ref, 512)
+			checkAgainst(t, s, ref)
 		})
 	}
 }
 
 func TestIngestVolatileMedia(t *testing.T) {
 	edges := gen.RMAT(9, 8000, 6)
-	ref := buildReference(edges)
+	ref := difftest.FromEdges(edges)
 	for name, medium := range map[string]Medium{"dram": MediumDRAM, "memmode": MediumMemoryMode} {
 		t.Run(name, func(t *testing.T) {
 			m, _ := testMachine()
@@ -162,7 +118,7 @@ func TestIngestVolatileMedia(t *testing.T) {
 			if _, err := s.Ingest(edges); err != nil {
 				t.Fatal(err)
 			}
-			checkAgainstReference(t, s, ref, 512)
+			checkAgainst(t, s, ref)
 		})
 	}
 }
@@ -176,10 +132,10 @@ func TestDeletions(t *testing.T) {
 	ctx := xpsim.NewCtx(0)
 	got := s.Nbrs(ctx, Out, 0, nil)
 	// One of the two 0->1 edges is deleted; del(0,9) has no match.
-	if !sameMultiset(got, []uint32{1, 2}) {
+	if difftest.Diff(got, []uint32{1, 2}) != "" {
 		t.Fatalf("out(0) = %v, want {1,2}", got)
 	}
-	if in := s.Nbrs(ctx, In, 1, nil); !sameMultiset(in, []uint32{0}) {
+	if in := s.Nbrs(ctx, In, 1, nil); difftest.Diff(in, []uint32{0}) != "" {
 		t.Fatalf("in(1) = %v, want {0}", in)
 	}
 }
@@ -197,7 +153,7 @@ func TestLogWrapsAndFlushes(t *testing.T) {
 	if rep.FlushAlls == 0 {
 		t.Fatal("tiny log must force flush-all phases")
 	}
-	checkAgainstReference(t, s, buildReference(edges), 256)
+	checkAgainst(t, s, difftest.FromEdges(edges))
 }
 
 func TestPoolPressureForcesFlush(t *testing.T) {
@@ -211,7 +167,7 @@ func TestPoolPressureForcesFlush(t *testing.T) {
 	if rep.FlushAlls == 0 {
 		t.Fatal("tiny pool must trigger pressure flushes")
 	}
-	checkAgainstReference(t, s, buildReference(edges), 1024)
+	checkAgainst(t, s, difftest.FromEdges(edges))
 }
 
 func TestCrashRecovery(t *testing.T) {
@@ -237,14 +193,14 @@ func TestCrashRecovery(t *testing.T) {
 	if rep.SimNs <= 0 || rep.BlocksScanned == 0 {
 		t.Fatalf("suspicious recovery report: %+v", rep)
 	}
-	checkAgainstReference(t, rs, buildReference(edges), 512)
+	checkAgainst(t, rs, difftest.FromEdges(edges))
 
 	// The recovered store keeps ingesting.
 	more := []graph.Edge{{Src: 1, Dst: 2}, {Src: 2, Dst: 3}}
 	if _, err := rs.Ingest(more); err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstReference(t, rs, buildReference(append(edges, more...)), 512)
+	checkAgainst(t, rs, difftest.FromEdges(append(edges, more...)))
 }
 
 // Property: crash after an arbitrary ingest prefix loses nothing — the
@@ -278,17 +234,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ref := buildReference(prefix)
-		ctx := xpsim.NewCtx(0)
-		for v := graph.VID(0); v < 256; v++ {
-			if !sameMultiset(rs.Nbrs(ctx, Out, v, nil), ref.out[v]) {
-				return false
-			}
-			if !sameMultiset(rs.Nbrs(ctx, In, v, nil), ref.in[v]) {
-				return false
-			}
-		}
-		return true
+		return difftest.Check(rs, difftest.FromEdges(prefix), difftest.Opts{}) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
@@ -320,17 +266,17 @@ func TestViewInterfaces(t *testing.T) {
 	if got := s.LoggedEdges(ctx); len(got) != 3 {
 		t.Fatalf("logged edges = %d, want 3", len(got))
 	}
-	if got := s.NbrsLog(ctx, Out, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
+	if got := s.NbrsLog(ctx, Out, 1, nil); difftest.Diff(got, []uint32{2, 3}) != "" {
 		t.Fatalf("log out(1) = %v", got)
 	}
-	if got := s.NbrsLog(ctx, In, 1, nil); !sameMultiset(got, []uint32{4}) {
+	if got := s.NbrsLog(ctx, In, 1, nil); difftest.Diff(got, []uint32{4}) != "" {
 		t.Fatalf("log in(1) = %v", got)
 	}
 	// Buffer them: they move to vertex buffers.
 	if err := s.BufferAllEdges(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.NbrsBuf(ctx, Out, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
+	if got := s.NbrsBuf(ctx, Out, 1, nil); difftest.Diff(got, []uint32{2, 3}) != "" {
 		t.Fatalf("buf out(1) = %v", got)
 	}
 	if got := s.NbrsFlush(ctx, Out, 1, nil); len(got) != 0 {
@@ -340,14 +286,14 @@ func TestViewInterfaces(t *testing.T) {
 	if err := s.FlushAllVbufs(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.NbrsFlush(ctx, Out, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
+	if got := s.NbrsFlush(ctx, Out, 1, nil); difftest.Diff(got, []uint32{2, 3}) != "" {
 		t.Fatalf("flush out(1) = %v after flush", got)
 	}
 	if got := s.NbrsBuf(ctx, Out, 1, nil); len(got) != 0 {
 		t.Fatalf("buf out(1) = %v after flush", got)
 	}
 	// The merged view is stable throughout.
-	if got := s.Nbrs(ctx, Out, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
+	if got := s.Nbrs(ctx, Out, 1, nil); difftest.Diff(got, []uint32{2, 3}) != "" {
 		t.Fatalf("merged out(1) = %v", got)
 	}
 }
@@ -425,7 +371,7 @@ func TestBatteryVariantIngests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstReference(t, s, buildReference(edges), 512)
+	checkAgainst(t, s, difftest.FromEdges(edges))
 
 	// The battery variant should flush less: compare against standard.
 	s2 := newStore(t, Options{Name: "nobat", NumVertices: 512, LogCapacity: 1 << 10,
@@ -444,7 +390,7 @@ func TestSSDOverflowExtension(t *testing.T) {
 	// PMEM adjacency arena, ingestion overflows blocks onto the SSD tier
 	// and still answers queries correctly — just slower.
 	edges := gen.RMAT(10, 30000, 19)
-	ref := buildReference(edges)
+	ref := difftest.FromEdges(edges)
 
 	m1, h1 := testMachine()
 	small, err := New(m1, h1, nil, Options{Name: "ssd", NumVertices: 1024,
@@ -457,7 +403,7 @@ func TestSSDOverflowExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstReference(t, small, ref, 1024)
+	checkAgainst(t, small, ref)
 	if small.SSDBytes() == 0 {
 		t.Fatal("expected adjacency blocks to spill onto the SSD tier")
 	}
@@ -527,17 +473,7 @@ func TestDeletionMixProperty(t *testing.T) {
 		if _, err := s.Ingest(edges); err != nil {
 			return false
 		}
-		ref := buildReference(edges)
-		ctx := xpsim.NewCtx(0)
-		for v := graph.VID(0); v < 64; v++ {
-			if !sameMultiset(s.Nbrs(ctx, Out, v, nil), ref.out[v]) {
-				return false
-			}
-			if !sameMultiset(s.Nbrs(ctx, In, v, nil), ref.in[v]) {
-				return false
-			}
-		}
-		return true
+		return difftest.Check(s, difftest.FromEdges(edges), difftest.Opts{}) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
@@ -555,7 +491,7 @@ func TestDynamicVertexGrowth(t *testing.T) {
 		t.Fatalf("store did not grow: %d vertices", s.NumVertices())
 	}
 	ctx := xpsim.NewCtx(0)
-	if got := s.Nbrs(ctx, Out, 100, nil); !sameMultiset(got, []uint32{2000}) {
+	if got := s.Nbrs(ctx, Out, 100, nil); difftest.Diff(got, []uint32{2000}) != "" {
 		t.Fatalf("out(100) = %v", got)
 	}
 }
@@ -572,7 +508,7 @@ func TestBufferEdgesInterface(t *testing.T) {
 		t.Fatalf("pending after BufferEdges = %d", s.Log().PendingBuffer())
 	}
 	ctx := xpsim.NewCtx(0)
-	if got := s.NbrsBuf(ctx, Out, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
+	if got := s.NbrsBuf(ctx, Out, 1, nil); difftest.Diff(got, []uint32{2, 3}) != "" {
 		t.Fatalf("buffered out(1) = %v", got)
 	}
 }
@@ -591,7 +527,7 @@ func TestVisitMatchesNbrs(t *testing.T) {
 			want := s.Nbrs(ctx, d, v, nil)
 			var got []uint32
 			s.Visit(ctx, d, v, prop.Filter{}, func(n uint32) { got = append(got, n) })
-			if !sameMultiset(got, want) {
+			if difftest.Diff(got, want) != "" {
 				t.Fatalf("vertex %d dir %d: visit %d records, Nbrs %d", v, d, len(got), len(want))
 			}
 		}
@@ -623,7 +559,7 @@ func TestVisitAfterRecoveryResolvesTombstones(t *testing.T) {
 	ctx := xpsim.NewCtx(0)
 	var got []uint32
 	rs.Visit(ctx, Out, 1, prop.Filter{}, func(n uint32) { got = append(got, n) })
-	if !sameMultiset(got, []uint32{3}) {
+	if difftest.Diff(got, []uint32{3}) != "" {
 		t.Fatalf("post-recovery visit out(1) = %v, want {3}", got)
 	}
 }
@@ -645,7 +581,7 @@ func TestFourSocketMachine(t *testing.T) {
 	if _, err := s.Ingest(edges); err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstReference(t, s, buildReference(edges), 1024)
+	checkAgainst(t, s, difftest.FromEdges(edges))
 	// Vertex v's data lives on node v%4.
 	for v := graph.VID(0); v < 8; v++ {
 		if got := s.Node(Out, v); got != int(v%4) {
@@ -663,24 +599,13 @@ func TestEdgesExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := xpsim.NewCtx(0)
-	got := map[graph.Edge]int{}
-	s.Edges(ctx, func(e graph.Edge) { got[e]++ })
-	ref := buildReference(stream)
-	var want int
-	for v, outs := range ref.out {
-		want += len(outs)
-		for _, d := range outs {
-			if got[graph.Edge{Src: v, Dst: d}] == 0 {
-				t.Fatalf("exported edges missing %d->%d", v, d)
-			}
+	got := map[graph.VID][]uint32{}
+	s.Edges(ctx, func(e graph.Edge) { got[e.Src] = append(got[e.Src], e.Dst) })
+	want := difftest.FromEdges(stream)
+	for v := graph.VID(0); v < 256; v++ {
+		if diff := difftest.Diff(got[v], want.Want(Out, v, prop.Filter{})); diff != "" {
+			t.Fatalf("exported out(%d): %s", v, diff)
 		}
-	}
-	var total int
-	for _, c := range got {
-		total += c
-	}
-	if total != want {
-		t.Fatalf("exported %d edges, want %d", total, want)
 	}
 }
 
@@ -800,7 +725,7 @@ func TestCompactAllAdjs(t *testing.T) {
 	if err := s.CompactAllAdjs(ctx); err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstReference(t, s, buildReference(edges), 256)
+	checkAgainst(t, s, difftest.FromEdges(edges))
 	if _, err := s.Verify(ctx); err != nil {
 		t.Fatalf("verify after compact-all: %v", err)
 	}

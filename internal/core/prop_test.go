@@ -1,29 +1,14 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/graph"
 	"repro/internal/prop"
 	"repro/internal/xpsim"
 )
-
-// typedOut collects v's out-neighbors passing f as a nbr→label map.
-func typedOut(t *testing.T, s *Store, v graph.VID, f prop.Filter) map[uint32]uint16 {
-	t.Helper()
-	ctx := xpsim.NewCtx(0)
-	got := map[uint32]uint16{}
-	if err := s.Visit(ctx, Out, v, f, func(nbr uint32) {
-		lbl, err := s.Label(v, nbr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[nbr] = lbl
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return got
-}
 
 // TestMixedTypedUntypedRecovery pins the mixed-chain contract across a
 // recovery round trip: edges ingested through the plain path read back
@@ -37,67 +22,56 @@ func TestMixedTypedUntypedRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	follows, err := s.RegisterLabel("follows")
-	if err != nil {
-		t.Fatal(err)
+	// Every write goes to the store and to the oracle.
+	want := difftest.New()
+	register := func(name string) uint16 {
+		id, err := s.RegisterLabel(name)
+		if err != nil || id != want.RegisterLabel(name) {
+			t.Fatalf("RegisterLabel(%s) = %d, %v", name, id, err)
+		}
+		return id
 	}
-	blocks, err := s.RegisterLabel("blocks")
-	if err != nil {
-		t.Fatal(err)
+	typed := func(s *Store, edges []graph.Edge, labels []uint16) {
+		if _, err := s.IngestTyped(edges, labels); err != nil {
+			t.Fatal(err)
+		}
+		want.IngestTyped(edges, labels)
 	}
+	plain := func(s *Store, edges []graph.Edge) {
+		if _, err := s.Ingest(edges); err != nil {
+			t.Fatal(err)
+		}
+		want.Ingest(edges)
+	}
+	follows, blocks := register("follows"), register("blocks")
 
 	// Typed chain 1→2→3 plus a blocks edge, interleaved with untyped
 	// ingest through the plain path, plus a typed batch whose labels
 	// slice is short (the tail pads with the default label).
-	if _, err := s.IngestTyped([]graph.Edge{{Src: 1, Dst: 2}, {Src: 2, Dst: 3}},
-		[]uint16{follows, follows}); err != nil {
+	typed(s, []graph.Edge{{Src: 1, Dst: 2}, {Src: 2, Dst: 3}}, []uint16{follows, follows})
+	plain(s, []graph.Edge{{Src: 1, Dst: 5}, {Src: 3, Dst: 6}})
+	typed(s, []graph.Edge{{Src: 1, Dst: 4}, {Src: 1, Dst: 6}}, []uint16{blocks})
+	props := []graph.PropSet{{V: 2, Key: 1, Val: 30}, {V: 4, Key: 1, Val: 7}}
+	if err := s.SetProps(props); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Ingest([]graph.Edge{{Src: 1, Dst: 5}, {Src: 3, Dst: 6}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.IngestTyped([]graph.Edge{{Src: 1, Dst: 4}, {Src: 1, Dst: 6}},
-		[]uint16{blocks}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetProps([]graph.PropSet{{V: 2, Key: 1, Val: 30}, {V: 4, Key: 1, Val: 7}}); err != nil {
-		t.Fatal(err)
-	}
+	want.SetProps(props)
 	if err := s.FlushAllVbufs(); err != nil {
 		t.Fatal(err)
 	}
 
+	aged := prop.Filter{Key: 1, Op: prop.OpGe, Val: 10}
 	check := func(s *Store, when string) {
 		t.Helper()
-		all := typedOut(t, s, 1, prop.Filter{})
-		want := map[uint32]uint16{2: follows, 4: blocks, 5: 0, 6: 0}
-		if len(all) != len(want) {
-			t.Fatalf("%s: out(1) = %v, want %v", when, all, want)
-		}
-		for nbr, lbl := range want {
-			if all[nbr] != lbl {
-				t.Fatalf("%s: label(1→%d) = %d, want %d", when, nbr, all[nbr], lbl)
-			}
-		}
-		onlyFollows := typedOut(t, s, 1, prop.Filter{Types: []uint16{follows}})
-		if len(onlyFollows) != 1 || onlyFollows[2] != follows {
-			t.Fatalf("%s: follows-filtered out(1) = %v, want {2:%d}", when, onlyFollows, follows)
+		if err := difftest.Check(s, want, difftest.Opts{}); err != nil {
+			t.Fatalf("%s: %v", when, err)
 		}
 		// A real predicate never matches an unset property: only v2
 		// (age 30) survives age≥10 among 1's neighbors; v4 has age 7.
-		aged := typedOut(t, s, 1, prop.Filter{Key: 1, Op: prop.OpGe, Val: 10})
-		if len(aged) != 1 || aged[2] != follows {
-			t.Fatalf("%s: age≥10 out(1) = %v, want {2:%d}", when, aged, follows)
-		}
-		if v, ok, err := s.VProp(2, 1); err != nil || !ok || v != 30 {
-			t.Fatalf("%s: VProp(2,1) = %d,%v,%v, want 30,true,nil", when, v, ok, err)
-		}
-		if _, ok, err := s.VProp(5, 1); err != nil || ok {
-			t.Fatalf("%s: VProp(5,1) ok=%v err=%v, want unset", when, ok, err)
-		}
-		labels := s.Labels()
-		if len(labels) != 3 || labels[follows] != "follows" || labels[blocks] != "blocks" {
-			t.Fatalf("%s: label table = %v", when, labels)
+		var got []uint32
+		err := s.Visit(xpsim.NewCtx(0), Out, 1, aged, func(n uint32) { got = append(got, n) })
+		if err != nil || !slices.Equal(got, []uint32{2}) {
+			t.Fatalf("%s: age≥10 out(1) = %v, %v; want [2]", when, got, err)
 		}
 	}
 	check(s, "live")
@@ -111,12 +85,8 @@ func TestMixedTypedUntypedRecovery(t *testing.T) {
 
 	// The recovered store keeps growing: more typed and untyped edges
 	// land with the same semantics through a second round trip.
-	if _, err := rs.IngestTyped([]graph.Edge{{Src: 5, Dst: 2}}, []uint16{follows}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rs.Ingest([]graph.Edge{{Src: 5, Dst: 3}}); err != nil {
-		t.Fatal(err)
-	}
+	typed(rs, []graph.Edge{{Src: 5, Dst: 2}}, []uint16{follows})
+	plain(rs, []graph.Edge{{Src: 5, Dst: 3}})
 	if err := rs.FlushAllVbufs(); err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +96,6 @@ func TestMixedTypedUntypedRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(r2, "recovered twice")
-	out5 := typedOut(t, r2, 5, prop.Filter{})
-	if len(out5) != 2 || out5[2] != follows || out5[3] != 0 {
-		t.Fatalf("out(5) after second recovery = %v, want {2:%d, 3:0}", out5, follows)
-	}
 }
 
 // TestIngestTypedWithoutProps pins the fail-closed write surface of a
@@ -153,8 +119,8 @@ func TestIngestTypedWithoutProps(t *testing.T) {
 	if _, err := s.Ingest([]graph.Edge{{Src: 1, Dst: 2}}); err != nil {
 		t.Fatal(err)
 	}
-	got := typedOut(t, s, 1, prop.Filter{})
-	if len(got) != 1 || got[2] != 0 {
-		t.Fatalf("propless typed visit = %v, want {2:0}", got)
+	checkAgainst(t, s, difftest.FromEdges([]graph.Edge{{Src: 1, Dst: 2}}))
+	if lbl, err := s.Label(1, 2); err != nil || lbl != graph.DefaultLabel {
+		t.Fatalf("propless Label(1, 2) = %d, %v; want the default label", lbl, err)
 	}
 }

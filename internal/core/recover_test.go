@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/pmem"
@@ -29,7 +30,7 @@ func TestRecoveryAllNUMAModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkAgainstReference(t, rs, buildReference(edges), 512)
+			checkAgainst(t, rs, difftest.FromEdges(edges))
 		})
 	}
 }
@@ -59,10 +60,10 @@ func TestRecoveryWithDeletions(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := xpsim.NewCtx(0)
-	if got := rs.Nbrs(ctx, Out, 1, nil); !sameMultiset(got, []uint32{2, 4}) {
+	if got := rs.Nbrs(ctx, Out, 1, nil); difftest.Diff(got, []uint32{2, 4}) != "" {
 		t.Fatalf("out(1) after recovery = %v, want {2,4}", got)
 	}
-	if got := rs.Nbrs(ctx, In, 1, nil); !sameMultiset(got, []uint32{2}) {
+	if got := rs.Nbrs(ctx, In, 1, nil); difftest.Diff(got, []uint32{2}) != "" {
 		t.Fatalf("in(1) after recovery = %v, want {2}", got)
 	}
 }
@@ -127,7 +128,7 @@ func TestRecoveryRepeatedCrashes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstReference(t, r2, buildReference(append(part1, part2...)), 256)
+	checkAgainst(t, r2, difftest.FromEdges(append(part1, part2...)))
 }
 
 func TestCrossProcessRecovery(t *testing.T) {
@@ -163,7 +164,7 @@ func TestCrossProcessRecovery(t *testing.T) {
 	if rep.BlocksScanned == 0 {
 		t.Fatal("recovery scanned nothing")
 	}
-	checkAgainstReference(t, rs, buildReference(edges), 512)
+	checkAgainst(t, rs, difftest.FromEdges(edges))
 	if _, err := rs.Verify(xpsim.NewCtx(0)); err != nil {
 		t.Fatalf("verify after cross-process recovery: %v", err)
 	}
@@ -210,7 +211,7 @@ func TestRecoverRejectsWrongLogCapacity(t *testing.T) {
 	}
 	if rs, _, err := Recover(m, h, nil, opts); err != nil {
 		t.Fatalf("correct geometry must still recover: %v", err)
-	} else if got := rs.Nbrs(xpsim.NewCtx(0), Out, 1, nil); !sameMultiset(got, []uint32{2}) {
+	} else if got := rs.Nbrs(xpsim.NewCtx(0), Out, 1, nil); difftest.Diff(got, []uint32{2}) != "" {
 		t.Fatalf("out(1) = %v, want {2}", got)
 	}
 }

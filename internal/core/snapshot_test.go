@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/xpsim"
@@ -28,17 +29,17 @@ func TestSnapshotIsolation(t *testing.T) {
 	if _, err := s.Ingest([]graph.Edge{{Src: 1, Dst: 9}, {Src: 1, Dst: 10}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := snap.nbrs(ctx, Out, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
+	if got := snap.nbrs(ctx, Out, 1, nil); difftest.Diff(got, []uint32{2, 3}) != "" {
 		t.Fatalf("snapshot out(1) = %v, want {2,3}", got)
 	}
 	// The live view sees everything.
-	if live := s.Nbrs(ctx, Out, 1, nil); !sameMultiset(live, []uint32{2, 3, 9, 10}) {
+	if live := s.Nbrs(ctx, Out, 1, nil); difftest.Diff(live, []uint32{2, 3, 9, 10}) != "" {
 		t.Fatalf("live out(1) = %v", live)
 	}
 	// A fresh snapshot sees the new state.
 	snap2 := s.Snapshot(ctx)
 	defer snap2.Close()
-	if got2 := snap2.nbrs(ctx, Out, 1, nil); !sameMultiset(got2, []uint32{2, 3, 9, 10}) {
+	if got2 := snap2.nbrs(ctx, Out, 1, nil); difftest.Diff(got2, []uint32{2, 3, 9, 10}) != "" {
 		t.Fatalf("snapshot2 out(1) = %v", got2)
 	}
 }
@@ -54,20 +55,15 @@ func TestSnapshotSurvivesFlush(t *testing.T) {
 	ctx := xpsim.NewCtx(0)
 	snap := s.Snapshot(ctx)
 	defer snap.Close()
-	want := map[graph.VID][]uint32{}
-	for v := graph.VID(0); v < 64; v++ {
-		want[v] = append([]uint32(nil), snap.nbrs(ctx, Out, v, nil)...)
-	}
+	want := difftest.Read(snap)
 	if err := s.FlushAllVbufs(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Ingest(gen.RMAT(6, 200, 32)); err != nil {
 		t.Fatal(err)
 	}
-	for v := graph.VID(0); v < 64; v++ {
-		if got := snap.nbrs(ctx, Out, v, nil); !sameMultiset(got, want[v]) {
-			t.Fatalf("vertex %d: snapshot changed after flush+ingest: %v vs %v", v, got, want[v])
-		}
+	if err := difftest.Check(snap, want, difftest.Opts{}); err != nil {
+		t.Fatalf("snapshot changed after flush+ingest: %v", err)
 	}
 }
 
@@ -92,17 +88,17 @@ func TestSnapshotSurvivesCompaction(t *testing.T) {
 	if err := s.CompactAdjs(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := snap.nbrs(ctx, Out, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
+	if got := snap.nbrs(ctx, Out, 1, nil); difftest.Diff(got, []uint32{2, 3}) != "" {
 		t.Fatalf("snapshot out(1) after compaction = %v, want {2,3}", got)
 	}
-	if live := s.Nbrs(ctx, Out, 1, nil); !sameMultiset(live, []uint32{3, 5}) {
+	if live := s.Nbrs(ctx, Out, 1, nil); difftest.Diff(live, []uint32{3, 5}) != "" {
 		t.Fatalf("live out(1) after compaction = %v, want {3,5}", live)
 	}
 	// Repeated compaction of the same vertex stays stable.
 	if err := s.CompactAdjs(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := snap.nbrs(ctx, Out, 1, nil); !sameMultiset(got, []uint32{2, 3}) {
+	if got := snap.nbrs(ctx, Out, 1, nil); difftest.Diff(got, []uint32{2, 3}) != "" {
 		t.Fatalf("snapshot out(1) after second compaction = %v, want {2,3}", got)
 	}
 }
@@ -144,7 +140,7 @@ func TestSnapshotVertexBornLater(t *testing.T) {
 		t.Fatalf("snapshot NumVertices changed: %d != %d", snap.NumVertices(), numV)
 	}
 	// The snapshot's pre-existing data is unaffected.
-	if got := snap.nbrs(ctx, Out, 1, nil); !sameMultiset(got, []uint32{2}) {
+	if got := snap.nbrs(ctx, Out, 1, nil); difftest.Diff(got, []uint32{2}) != "" {
 		t.Fatalf("snapshot out(1) = %v, want {2}", got)
 	}
 }
@@ -171,17 +167,8 @@ func TestSnapshotPrefixProperty(t *testing.T) {
 		if _, err := s.Ingest(all[cut:]); err != nil {
 			return false
 		}
-		ref := buildReference(all[:cut])
-		for v := graph.VID(0); v < 256; v++ {
-			if got := snap.nbrs(ctx, Out, v, nil); !sameMultiset(got, ref.out[v]) {
-				return false
-			}
-			if gotIn := snap.nbrs(ctx, In, v, nil); !sameMultiset(gotIn, ref.in[v]) {
-				return false
-			}
-		}
-		snap.Close()
-		return true
+		defer snap.Close()
+		return difftest.Check(snap, difftest.FromEdges(all[:cut]), difftest.Opts{}) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/graph"
+	"repro/internal/prop"
 	"repro/internal/xpsim"
 )
 
@@ -28,27 +30,15 @@ func TestSoak(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			ref := &reference{out: map[graph.VID][]uint32{}, in: map[graph.VID][]uint32{}}
+			ref := difftest.New()
 			ctx := xpsim.NewCtx(0)
 			nextEdge := uint32(0) // unique (src,dst) pairs so recovery dedup is exact
 
 			type pendingSnap struct {
 				snap *Snapshot
-				out  map[graph.VID][]uint32
+				want *difftest.Oracle
 			}
 			var snaps []pendingSnap
-
-			apply := func(edges []graph.Edge) {
-				for _, e := range edges {
-					if e.IsDelete() {
-						ref.out[e.Src] = removeOne(ref.out[e.Src], e.Target())
-						ref.in[e.Target()] = removeOne(ref.in[e.Target()], e.Src)
-					} else {
-						ref.out[e.Src] = append(ref.out[e.Src], e.Dst)
-						ref.in[e.Dst] = append(ref.in[e.Dst], e.Src)
-					}
-				}
-			}
 
 			for op := 0; op < 60; op++ {
 				switch rng.Intn(10) {
@@ -56,10 +46,11 @@ func TestSoak(t *testing.T) {
 					n := 1 + rng.Intn(400)
 					batch := make([]graph.Edge, 0, n)
 					for i := 0; i < n; i++ {
-						if rng.Intn(8) == 0 && len(ref.out) > 0 {
-							// Delete a random live edge.
-							for v, outs := range ref.out {
-								if len(outs) > 0 {
+						if rng.Intn(8) == 0 {
+							// Delete a random live edge, if any.
+							for v0, k := graph.VID(rng.Intn(numV)), graph.VID(0); k < numV; k++ {
+								v := (v0 + k) % numV
+								if outs := ref.Want(Out, v, prop.Filter{}); len(outs) > 0 {
 									batch = append(batch, graph.Del(v, outs[rng.Intn(len(outs))]))
 									break
 								}
@@ -75,7 +66,7 @@ func TestSoak(t *testing.T) {
 					if _, err := s.Ingest(batch); err != nil {
 						t.Fatalf("op %d ingest: %v", op, err)
 					}
-					apply(batch)
+					ref.Ingest(batch)
 				case 5: // flush everything to PMEM
 					if err := s.FlushAllVbufs(); err != nil {
 						t.Fatalf("op %d flush: %v", op, err)
@@ -85,11 +76,7 @@ func TestSoak(t *testing.T) {
 						t.Fatalf("op %d compact: %v", op, err)
 					}
 				case 7: // take a snapshot of the current out-view
-					ps := pendingSnap{snap: s.Snapshot(ctx), out: map[graph.VID][]uint32{}}
-					for v, outs := range ref.out {
-						ps.out[v] = append([]uint32(nil), outs...)
-					}
-					snaps = append(snaps, ps)
+					snaps = append(snaps, pendingSnap{snap: s.Snapshot(ctx), want: ref.Clone()})
 				case 8: // verify structural invariants
 					if _, err := s.Verify(ctx); err != nil {
 						t.Fatalf("op %d verify: %v", op, err)
@@ -107,25 +94,24 @@ func TestSoak(t *testing.T) {
 				// Spot-check a few random vertices against the model.
 				for i := 0; i < 4; i++ {
 					v := graph.VID(rng.Intn(numV))
-					if got := s.Nbrs(ctx, Out, v, nil); !sameMultiset(got, ref.out[v]) {
-						t.Fatalf("op %d: out(%d) = %d records, want %d", op, v, len(got), len(ref.out[v]))
-					}
-					if got := s.Nbrs(ctx, In, v, nil); !sameMultiset(got, ref.in[v]) {
-						t.Fatalf("op %d: in(%d) mismatch", op, v)
+					for d := Out; d <= In; d++ {
+						if diff := difftest.Diff(s.Nbrs(ctx, d, v, nil), ref.Want(d, v, prop.Filter{})); diff != "" {
+							t.Fatalf("op %d: vertex %d dir %d: %s", op, v, d, diff)
+						}
 					}
 				}
 				// Check every live snapshot still reports its frozen view —
 				// including across flushes and compactions.
 				for si, ps := range snaps {
 					v := graph.VID(rng.Intn(numV))
-					if got := ps.snap.nbrs(ctx, Out, v, nil); !sameMultiset(got, ps.out[v]) {
-						t.Fatalf("op %d snapshot %d: out(%d) drifted", op, si, v)
+					if diff := difftest.Diff(ps.snap.nbrs(ctx, Out, v, nil), ps.want.Want(Out, v, prop.Filter{})); diff != "" {
+						t.Fatalf("op %d snapshot %d: out(%d) drifted: %s", op, si, v, diff)
 					}
 				}
 			}
 
 			// Final full sweep.
-			checkAgainstReference(t, s, ref, numV)
+			checkAgainst(t, s, ref)
 			if _, err := s.Verify(ctx); err != nil {
 				t.Fatalf("final verify: %v", err)
 			}

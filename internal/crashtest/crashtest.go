@@ -9,15 +9,16 @@
 // are totally ordered in the device model and every Append flushes its
 // ring records before publishing the head, so whatever head value the
 // durable image holds, exactly that prefix of the ingested edge stream is
-// durable. The oracle is therefore just the reference adjacency built
-// from edges[:recoveredHead] — no loss of flush-acknowledged edges, no
-// duplicates from replay, for any crash point.
+// durable. The oracle is therefore the shared reference (internal/difftest)
+// built from edges[:recoveredHead] — no loss of flush-acknowledged edges,
+// no duplicates from replay, for any crash point.
 package crashtest
 
 import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/pmem"
@@ -75,14 +76,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// workload generates the deterministic edge stream for a config.
-func (c Config) workload() []graph.Edge {
-	if c.DelRatio > 0 {
-		return gen.Evolving(c.Scale, c.Edges, c.DelRatio, c.Seed)
-	}
-	return gen.RMAT(c.Scale, c.Edges, c.Seed)
-}
-
 func (c Config) storeOptions() core.Options {
 	return core.Options{
 		Name:             c.Name,
@@ -129,31 +122,19 @@ func Probe(cfg Config) (*Result, error) {
 // the final state must match the full oracle).
 func Run(cfg Config, plan xpsim.FaultPlan) (*Result, error) {
 	cfg = cfg.withDefaults()
-	return RunStream(cfg, cfg.workload(), plan)
+	return RunStream(cfg, difftest.Stream(cfg.Scale, cfg.Edges, cfg.DelRatio, cfg.Seed), plan)
 }
 
 // RunStream is Run with an explicit edge stream instead of a generated
 // workload — regression tests use it to pin hand-built scenarios
 // (duplicate edges straddling a compaction, dense self-loops, ...).
+// Like Run and RunDouble it returns a non-nil Result on every path.
 func RunStream(cfg Config, edges []graph.Edge, plan xpsim.FaultPlan) (*Result, error) {
 	cfg = cfg.withDefaults()
-
-	st, faults, err := build(cfg)
+	st, res, err := runFirst(cfg, edges, plan)
 	if err != nil {
-		return nil, err
+		return res, err
 	}
-	faults.Arm(plan)
-	if err := ingest(st, cfg, edges); err != nil {
-		return nil, fmt.Errorf("ingest: %w", err)
-	}
-
-	res := &Result{
-		MediaWrites: faults.MediaWrites(),
-		Sites:       faults.SiteHits(),
-		Crashed:     faults.Crashed(),
-		CrashDesc:   faults.CrashDescription(),
-	}
-
 	rs, err := recoverClone(st.Heap(), cfg, res)
 	if err != nil {
 		return res, err
@@ -174,21 +155,10 @@ func RunStream(cfg Config, edges []graph.Edge, plan xpsim.FaultPlan) (*Result, e
 // crashable workload.
 func RunDouble(cfg Config, plan1, plan2 xpsim.FaultPlan, contEdges int64) (*Result, error) {
 	cfg = cfg.withDefaults()
-	edges := cfg.workload()
-
-	st, faults, err := build(cfg)
+	edges := difftest.Stream(cfg.Scale, cfg.Edges, cfg.DelRatio, cfg.Seed)
+	st, res, err := runFirst(cfg, edges, plan1)
 	if err != nil {
-		return nil, err
-	}
-	faults.Arm(plan1)
-	if err := ingest(st, cfg, edges); err != nil {
-		return nil, fmt.Errorf("ingest: %w", err)
-	}
-	res := &Result{
-		MediaWrites: faults.MediaWrites(),
-		Sites:       faults.SiteHits(),
-		Crashed:     faults.Crashed(),
-		CrashDesc:   faults.CrashDescription(),
+		return res, err
 	}
 
 	// First crash + recovery, on a clone that is itself fault-tracked so
@@ -211,11 +181,12 @@ func RunDouble(cfg Config, plan1, plan2 xpsim.FaultPlan, contEdges int64) (*Resu
 	// Continuation workload under the second plan.
 	cont := gen.RMAT(cfg.Scale, contEdges, cfg.Seed^0xC047)
 	faults2.Arm(plan2)
-	if err := ingest(rs, cfg, cont); err != nil {
-		return res, fmt.Errorf("continuation ingest: %w", err)
-	}
+	err = ingest(rs, cfg, cont)
 	res.Crashed = faults2.Crashed()
 	res.CrashDesc = faults2.CrashDescription()
+	if err != nil {
+		return res, fmt.Errorf("continuation ingest: %w", err)
+	}
 
 	combined := append(append([]graph.Edge(nil), edges[:h1]...), cont...)
 	rs2, err := recoverClone(rs.Heap(), cfg, res)
@@ -231,16 +202,26 @@ func RunDouble(cfg Config, plan1, plan2 xpsim.FaultPlan, contEdges int64) (*Resu
 	return res, nil
 }
 
-// build constructs the fault-tracked machine, heap, and store.
-func build(cfg Config) (*core.Store, *xpsim.Faults, error) {
+// runFirst builds the fault-tracked machine, heap, and store, arms plan,
+// and ingests edges, recording what the faults observed in the result.
+func runFirst(cfg Config, edges []graph.Edge, plan xpsim.FaultPlan) (*core.Store, *Result, error) {
+	res := &Result{}
 	machine := xpsim.NewMachine(2, 256<<20, xpsim.DefaultLatency())
 	faults := machine.TrackFaults()
-	heap := pmem.NewHeap(machine)
-	st, err := core.New(machine, heap, nil, cfg.storeOptions())
+	st, err := core.New(machine, pmem.NewHeap(machine), nil, cfg.storeOptions())
 	if err != nil {
-		return nil, nil, err
+		return nil, res, err
 	}
-	return st, faults, nil
+	faults.Arm(plan)
+	err = ingest(st, cfg, edges)
+	res.MediaWrites = faults.MediaWrites()
+	res.Sites = faults.SiteHits()
+	res.Crashed = faults.Crashed()
+	res.CrashDesc = faults.CrashDescription()
+	if err != nil {
+		return nil, res, fmt.Errorf("ingest: %w", err)
+	}
+	return st, res, nil
 }
 
 // ingest drives the chunked ingest/compaction schedule. Once the armed
@@ -281,4 +262,32 @@ func recoverClone(heap *pmem.Heap, cfg Config, res *Result) (*core.Store, error)
 	res.Recovery = rep
 	res.DurableEdges = rs.Log().Head()
 	return rs, nil
+}
+
+// verify checks the recovered store against the oracle of the durable
+// prefix edges[:durable], then the log cursor invariants, then the
+// store's own structural self-check. Any lost flushed edge, any
+// duplicate introduced by replay, and any cursor regression surfaces
+// here.
+func verify(rs *core.Store, edges []graph.Edge, durable int64) error {
+	if durable < 0 || durable > int64(len(edges)) {
+		return fmt.Errorf("recovered head %d outside ingested stream [0,%d]", durable, len(edges))
+	}
+	l := rs.Log()
+	if l.Flushed() > l.Buffered() || l.Buffered() > l.Head() {
+		return fmt.Errorf("cursor order violated: flushed=%d buffered=%d head=%d", l.Flushed(), l.Buffered(), l.Head())
+	}
+	if l.Buffered() != l.Head() {
+		return fmt.Errorf("recovery left unbuffered window: buffered=%d head=%d", l.Buffered(), l.Head())
+	}
+	if l.Head()-l.Flushed() > l.Cap() {
+		return fmt.Errorf("replay window %d exceeds log capacity %d", l.Head()-l.Flushed(), l.Cap())
+	}
+	if err := difftest.Check(rs, difftest.FromEdges(edges[:durable]), difftest.Opts{}); err != nil {
+		return fmt.Errorf("durable=%d: %w", durable, err)
+	}
+	if _, err := rs.Verify(xpsim.NewCtx(xpsim.NodeUnbound)); err != nil {
+		return fmt.Errorf("structural check: %w", err)
+	}
+	return nil
 }

@@ -2,9 +2,11 @@ package crashtest
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/graph"
 	"repro/internal/pmem"
 	"repro/internal/prop"
@@ -111,35 +113,22 @@ func runPropCrash(plan xpsim.FaultPlan) (int64, error) {
 		return faults.MediaWrites(), fmt.Errorf("recover (crash: %s): %w", faults.CrashDescription(), err)
 	}
 
-	// Labels of durable edges, through the one read surface.
-	ctx := xpsim.NewCtx(0)
-	got := map[graph.Edge]uint16{}
-	for v := graph.VID(0); v < propNV; v++ {
-		var lerr error
-		err := rs.Visit(ctx, core.Out, v, prop.Filter{}, func(nbr uint32) {
-			lbl, err := rs.Label(v, nbr)
-			if err != nil && lerr == nil {
-				lerr = err
-			}
-			got[graph.Edge{Src: uint32(v), Dst: nbr}] = lbl
-		})
-		if err == nil {
-			err = lerr
-		}
-		if err != nil {
-			return faults.MediaWrites(), fmt.Errorf("visit %d: %w", v, err)
-		}
+	// Labels and properties of the durable state, through the one read
+	// surface.
+	got := difftest.Read(rs, 1)
+	if err := got.Err(); err != nil {
+		return faults.MediaWrites(), err
 	}
 
 	sawHole := ""
 	for _, r := range stream {
 		present := false
 		if r.edge {
-			lbl, visited := got[propEdge(r.i)]
-			if !visited {
+			e := propEdge(r.i)
+			if !slices.Contains(got.Want(graph.Out, e.Src, prop.Filter{}), e.Dst) {
 				continue // edge itself not durable: label unobservable
 			}
-			want := propLabel(r.i)
+			want, lbl := propLabel(r.i), got.Label(e.Src, e.Dst)
 			switch lbl {
 			case want:
 				present = true
@@ -149,11 +138,7 @@ func runPropCrash(plan xpsim.FaultPlan) (int64, error) {
 					r.where, lbl, want, faults.CrashDescription())
 			}
 		} else {
-			val, ok, err := rs.VProp(graph.VID(r.v), r.key)
-			if err != nil {
-				return faults.MediaWrites(), fmt.Errorf("VProp at %s: %w", r.where, err)
-			}
-			if ok {
+			if val, ok := got.VProp(r.v, r.key); ok {
 				if val != r.val {
 					return faults.MediaWrites(), fmt.Errorf("silent wrong property at %s: got %d, want %d (crash: %s)",
 						r.where, val, r.val, faults.CrashDescription())

@@ -7,12 +7,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/rng"
 	"repro/internal/xpsim"
 )
 
 // -crashtest.seed reruns the randomized schedule suite from a specific
-// base seed — paste the seed a failure printed to replay it exactly.
+// base seed; a failure prints the command that replays its one seed.
 var seedFlag = flag.Uint64("crashtest.seed", rng.Gamma, "base seed for randomized crash schedules")
 
 // randomSchedule derives one workload config + fault plan from a seed.
@@ -66,35 +67,34 @@ func randomSchedule(seed uint64, mediaWrites int64) (Config, xpsim.FaultPlan) {
 }
 
 // TestCrashRandomizedSchedules probes and then crash-verifies a batch of
-// seed-derived schedules. On failure it prints the per-schedule seed;
-// rerun with -crashtest.seed=<seed> (and the failing iteration reruns
-// first, as iteration 0 derives directly from the base seed).
+// seed-derived schedules, one subtest per seed. The first schedule is
+// the base seed itself, so a failing seed printed by any sweep replays
+// alone with the printed command.
 func TestCrashRandomizedSchedules(t *testing.T) {
 	iters := 40
 	if testing.Short() {
 		iters = 8
 	}
 	base := *seedFlag
-	t.Logf("base seed %#x (%d schedules; rerun one with -crashtest.seed=<seed>)", base, iters)
-	for i := 0; i < iters; i++ {
-		seed := rng.Draw(base + uint64(i))
-		if i == 0 {
-			seed = base // so -crashtest.seed=<printed seed> replays exactly
-		}
+	t.Logf("base seed %#x (%d schedules)", base, iters)
+	seeds := append([]uint64{base}, difftest.Seeds(base+1, iters-1)...)
+	const replay = "go test ./internal/crashtest/ -run 'TestCrashRandomizedSchedules/seed_%#[1]x$' -crashtest.seed=%#[1]x"
+	difftest.RunSeeds(t, seeds, replay, func(t *testing.T, seed uint64) error {
 		cfg, _ := randomSchedule(seed, 0)
 		probe, err := Probe(cfg)
 		if err != nil {
-			t.Fatalf("seed %#x: probe: %v", seed, err)
+			return fmt.Errorf("probe: %w", err)
 		}
 		cfg, plan := randomSchedule(seed, probe.MediaWrites)
 		res, err := Run(cfg, plan)
 		if err != nil {
-			t.Fatalf("seed %#x: %v (plan %+v)", seed, err, plan)
+			return fmt.Errorf("%w (plan %+v)", err, plan)
 		}
 		if plan.KillAtMediaWrite > 0 && !res.Crashed {
-			t.Fatalf("seed %#x: plan %+v never fired (%d media writes)", seed, plan, res.MediaWrites)
+			return fmt.Errorf("plan %+v never fired (%d media writes)", plan, res.MediaWrites)
 		}
-	}
+		return nil
+	})
 }
 
 // TestRandomScheduleGolden pins the seed → schedule expansion to a

@@ -101,7 +101,8 @@ func TestMemoryModeSlowerThanDRAM(t *testing.T) {
 
 func TestScalarRoundTrip(t *testing.T) {
 	lat := xpsim.DefaultLatency()
-	s := NewDRAM(&lat, 1<<16, nil)
+	// Room for an 8-byte scalar at every uint16 offset.
+	s := NewDRAM(&lat, 1<<16+8, nil)
 	ctx := xpsim.NewCtx(0)
 	f := func(off16 uint16, v32 uint32, v64 uint64) bool {
 		off := int64(off16)

@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/graph"
 	"repro/internal/pmem"
 	"repro/internal/prop"
@@ -27,6 +28,8 @@ const (
 	propNV    = 64
 	propEdges = 300
 )
+
+var propLabels = []string{"a", "b", "c"}
 
 // propWorkload is the deterministic typed workload: distinct edges, all
 // typed, plus one property per source vertex.
@@ -44,20 +47,23 @@ func propWorkload() ([]graph.Edge, []uint16, []graph.PropSet) {
 	return edges, labels, props
 }
 
+// propOptions is the property-enabled MediaGuard store every scenario
+// builds and recovers.
+func propOptions(name string) core.Options {
+	return core.Options{Name: name, NumVertices: propNV, LogCapacity: 1 << 10,
+		ArchiveThreshold: 1 << 6, ArchiveThreads: 2, MediaGuard: true, Props: true}
+}
+
 // buildProp constructs a MediaGuard store with property columns, ingests
 // the typed workload, and flushes every record into PMEM blocks.
 func buildProp(name string) (*core.Store, *xpsim.Faults, error) {
 	machine := xpsim.NewMachine(2, 256<<20, xpsim.DefaultLatency())
 	faults := machine.TrackFaults()
-	st, err := core.New(machine, pmem.NewHeap(machine), nil, core.Options{
-		Name: name, NumVertices: propNV, LogCapacity: 1 << 10,
-		ArchiveThreshold: 1 << 6, ArchiveThreads: 2,
-		MediaGuard: true, Props: true,
-	})
+	st, err := core.New(machine, pmem.NewHeap(machine), nil, propOptions(name))
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, l := range []string{"a", "b", "c"} {
+	for _, l := range propLabels {
 		if _, err := st.RegisterLabel(l); err != nil {
 			return nil, nil, err
 		}
@@ -80,65 +86,17 @@ func buildProp(name string) (*core.Store, *xpsim.Faults, error) {
 
 // propDifferential checks the typed read surface against the workload
 // oracle: every edge carries exactly its assigned label, every written
-// property reads back exactly, and a type filter prunes exactly.
+// property reads back exactly, and each label's type filter prunes
+// exactly.
 func propDifferential(st *core.Store) error {
 	edges, labels, props := propWorkload()
-	wantLbl := map[graph.Edge]uint16{}
-	for i, e := range edges {
-		wantLbl[e] = labels[i]
+	o := difftest.New()
+	for _, l := range propLabels {
+		o.RegisterLabel(l)
 	}
-	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
-	got := map[graph.Edge]uint16{}
-	for v := graph.VID(0); v < propNV; v++ {
-		var lerr error
-		err := st.Visit(ctx, core.Out, v, prop.Filter{}, func(nbr uint32) {
-			lbl, err := st.Label(v, nbr)
-			if err != nil && lerr == nil {
-				lerr = err
-			}
-			got[graph.Edge{Src: uint32(v), Dst: nbr}] = lbl
-		})
-		if err == nil {
-			err = lerr
-		}
-		if err != nil {
-			return fmt.Errorf("typed visit %d: %w", v, err)
-		}
-	}
-	if len(got) != len(wantLbl) {
-		return fmt.Errorf("typed view has %d edges, want %d", len(got), len(wantLbl))
-	}
-	for e, want := range wantLbl {
-		if got[e] != want {
-			return fmt.Errorf("SILENT WRONG LABEL %d→%d: got %d, want %d", e.Src, e.Dst, got[e], want)
-		}
-	}
-	for _, p := range props {
-		val, ok, err := st.VProp(graph.VID(p.V), p.Key)
-		if err != nil {
-			return fmt.Errorf("VProp(%d): %w", p.V, err)
-		}
-		if !ok || val != p.Val {
-			return fmt.Errorf("SILENT WRONG PROPERTY v%d: got %d,%v, want %d", p.V, val, ok, p.Val)
-		}
-	}
-	// Pushdown spot check: filtering on label 2 keeps exactly its third.
-	var kept, want int
-	for _, l := range labels {
-		if l == 2 {
-			want++
-		}
-	}
-	for v := graph.VID(0); v < propNV; v++ {
-		err := st.Visit(ctx, core.Out, v, prop.Filter{Types: []uint16{2}}, func(uint32) { kept++ })
-		if err != nil {
-			return fmt.Errorf("filtered visit %d: %w", v, err)
-		}
-	}
-	if kept != want {
-		return fmt.Errorf("type filter kept %d edges, want %d", kept, want)
-	}
-	return nil
+	o.IngestTyped(edges, labels)
+	o.SetProps(props)
+	return difftest.Check(st, o, difftest.Opts{})
 }
 
 // RunPropScrubRepair drives the repair loop over the column log: UEs
@@ -182,11 +140,7 @@ func RunPropScrubRepair() error {
 	if err != nil {
 		return err
 	}
-	rs, _, err := core.Recover(clone.Machine(), clone, nil, core.Options{
-		Name: "prop-repair", NumVertices: propNV, LogCapacity: 1 << 10,
-		ArchiveThreshold: 1 << 6, ArchiveThreads: 2,
-		MediaGuard: true, Props: true,
-	})
+	rs, _, err := core.Recover(clone.Machine(), clone, nil, propOptions("prop-repair"))
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
@@ -225,11 +179,7 @@ func RunPropUnrecoverable() error {
 	if err != nil {
 		return err
 	}
-	rs, _, err := core.Recover(clone.Machine(), clone, nil, core.Options{
-		Name: "prop-unrec", NumVertices: propNV, LogCapacity: 1 << 10,
-		ArchiveThreshold: 1 << 6, ArchiveThreads: 2,
-		MediaGuard: true, Props: true,
-	})
+	rs, _, err := core.Recover(clone.Machine(), clone, nil, propOptions("prop-unrec"))
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
@@ -253,17 +203,14 @@ func RunPropUnrecoverable() error {
 	}
 	// Adjacency is a separate surface: untyped reads stay oracle-exact.
 	edges, _, _ := propWorkload()
-	want := map[graph.VID]int{}
-	for _, e := range edges {
-		want[e.Src]++
-	}
+	o := difftest.FromEdges(edges)
 	for v := graph.VID(0); v < propNV; v++ {
 		got, err := rs.NbrsChecked(ctx, core.Out, v, nil)
 		if err != nil {
 			return fmt.Errorf("untyped read %d: %v", v, err)
 		}
-		if len(got) != want[v] {
-			return fmt.Errorf("untyped out(%d) = %d edges, want %d", v, len(got), want[v])
+		if diff := difftest.Diff(got, o.Want(graph.Out, v, prop.Filter{})); diff != "" {
+			return fmt.Errorf("untyped out(%d): %s", v, diff)
 		}
 	}
 	return nil

@@ -1,8 +1,8 @@
 // Package scrubtest is the differential media-error verifier: it runs a
 // deterministic workload on a MediaGuard store, injects uncorrectable
 // errors (xpsim.Faults.InjectUE) under live adjacency chains, and checks
-// the store's checked read path vertex-for-vertex against an in-memory
-// oracle.
+// the store's checked read path vertex-for-vertex against the shared
+// oracle (internal/difftest).
 //
 // The contract under test is the media-tolerance invariant: a checked
 // read either returns exactly what the oracle holds or fails with a
@@ -20,10 +20,10 @@ package scrubtest
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/adj"
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/pmem"
@@ -80,13 +80,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) workload() []graph.Edge {
-	if c.DelRatio > 0 {
-		return gen.Evolving(c.Scale, c.Edges, c.DelRatio, c.Seed)
-	}
-	return gen.RMAT(c.Scale, c.Edges, c.Seed)
-}
-
 func (c Config) storeOptions() core.Options {
 	return core.Options{
 		Name:             c.Name,
@@ -111,7 +104,7 @@ func build(cfg Config) (*core.Store, *xpsim.Faults, []graph.Edge, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	edges := cfg.workload()
+	edges := difftest.Stream(cfg.Scale, cfg.Edges, cfg.DelRatio, cfg.Seed)
 	for i := 0; i < len(edges); i += cfg.Chunk {
 		end := i + cfg.Chunk
 		if end > len(edges) {
@@ -130,62 +123,6 @@ func build(cfg Config) (*core.Store, *xpsim.Faults, []graph.Edge, error) {
 	return st, faults, edges, nil
 }
 
-// ---- oracle (crashtest's reference semantics, duplicated locally) ----
-
-type oracle struct {
-	out, in map[graph.VID][]uint32
-}
-
-func buildOracle(edges []graph.Edge) *oracle {
-	o := &oracle{out: map[graph.VID][]uint32{}, in: map[graph.VID][]uint32{}}
-	for _, e := range edges {
-		if e.IsDelete() {
-			o.out[e.Src] = removeOne(o.out[e.Src], e.Target())
-			o.in[e.Target()] = removeOne(o.in[e.Target()], e.Src)
-			continue
-		}
-		o.out[e.Src] = append(o.out[e.Src], e.Dst)
-		o.in[e.Dst] = append(o.in[e.Dst], e.Src)
-	}
-	return o
-}
-
-func removeOne(s []uint32, v uint32) []uint32 {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == v {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
-func diffMultiset(got, want []uint32) string {
-	g := append([]uint32(nil), got...)
-	w := append([]uint32(nil), want...)
-	sort.Slice(g, func(i, j int) bool { return g[i] < g[j] })
-	sort.Slice(w, func(i, j int) bool { return w[i] < w[j] })
-	if len(g) == len(w) {
-		same := true
-		for i := range g {
-			if g[i] != w[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return ""
-		}
-	}
-	return fmt.Sprintf("got %d nbrs %v, want %d nbrs %v", len(g), g, len(w), w)
-}
-
-func (o *oracle) want(d core.Direction, v graph.VID) []uint32 {
-	if d == core.Out {
-		return o.out[v]
-	}
-	return o.in[v]
-}
-
 // typedMediaError reports whether err is one of the typed failures the
 // media-tolerance contract allows a checked read to return.
 func typedMediaError(err error) bool {
@@ -195,35 +132,68 @@ func typedMediaError(err error) bool {
 	return errors.As(err, &me) || errors.As(err, &ce) || errors.As(err, &ue)
 }
 
-// diffReport summarizes one differential pass over every vertex and both
-// directions through the checked read path.
-type diffReport struct {
-	Clean  int // reads that matched the oracle
-	Failed int // reads that returned a typed media error
+// differential checks every vertex in both directions through the
+// checked read path against the oracle: a read must match exactly or
+// fail with a typed media error, and it returns how many failed. Any
+// silently wrong neighbor list is fatal — it is the one outcome the
+// media-tolerance layer exists to prevent.
+func differential(st *core.Store, o *difftest.Oracle) (failed int, err error) {
+	err = difftest.Check(st, o, difftest.Opts{Checked: true,
+		OnErr: func(d graph.Direction, v graph.VID, rerr error) error {
+			if !typedMediaError(rerr) {
+				return fmt.Errorf("vertex %d dir %d: untyped error %v", v, d, rerr)
+			}
+			failed++
+			return nil
+		}})
+	return failed, err
 }
 
-// differential checks every vertex in both directions: a checked read
-// must either match the oracle exactly or fail with a typed media error.
-// Any silently wrong neighbor list is fatal — it is the one outcome the
-// media-tolerance layer exists to prevent.
-func differential(st *core.Store, o *oracle) (diffReport, error) {
-	var rep diffReport
-	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
-	for d := 0; d < 2; d++ {
-		for v := graph.VID(0); v < st.NumVertices(); v++ {
-			got, err := st.NbrsChecked(ctx, core.Direction(d), v, nil)
-			if err != nil {
-				if !typedMediaError(err) {
-					return rep, fmt.Errorf("vertex %d dir %d: untyped error %v", v, d, err)
-				}
-				rep.Failed++
-				continue
-			}
-			if diff := diffMultiset(got, o.want(core.Direction(d), v)); diff != "" {
-				return rep, fmt.Errorf("SILENT WRONG DATA vertex %d dir %d: %s", v, d, diff)
-			}
-			rep.Clean++
-		}
+// clean is a differential in which no read may fail.
+func clean(st *core.Store, o *difftest.Oracle) error {
+	failed, err := differential(st, o)
+	if err == nil && failed != 0 {
+		err = fmt.Errorf("%d reads failed", failed)
+	}
+	return err
+}
+
+// detect pins the detection half of the contract on st: every read is
+// clean before the damage; after UEs land under n vertices' chains no
+// read returns wrong data and at least the damaged vertices fail typed.
+func detect(st *core.Store, faults *xpsim.Faults, o *difftest.Oracle, n int) error {
+	if err := clean(st, o); err != nil {
+		return fmt.Errorf("pre-damage: %w", err)
+	}
+	targets := injectChains(st, faults, n)
+	if len(targets) == 0 {
+		return fmt.Errorf("workload left no PMEM chains to damage")
+	}
+	failed, err := differential(st, o)
+	if err != nil {
+		return fmt.Errorf("post-damage differential: %w", err)
+	}
+	if failed < len(targets) {
+		return fmt.Errorf("only %d reads failed for %d damaged vertices", failed, len(targets))
+	}
+	return nil
+}
+
+// repairAll scrubs st and requires a full repair: nothing
+// unrecoverable, HealthOK, and every read oracle-exact again.
+func repairAll(st *core.Store, o *difftest.Oracle) (core.ScrubReport, error) {
+	rep, err := st.Scrub()
+	if err != nil {
+		return rep, fmt.Errorf("scrub: %w", err)
+	}
+	if rep.Unrecoverable != 0 || rep.Repaired != rep.Damaged {
+		return rep, fmt.Errorf("scrub did not repair everything: %+v", rep)
+	}
+	if h := st.Health(); h.State != core.HealthOK {
+		return rep, fmt.Errorf("health after scrub = %v (%+v)", h.State, h)
+	}
+	if err := clean(st, o); err != nil {
+		return rep, fmt.Errorf("post-scrub: %w", err)
 	}
 	return rep, nil
 }
@@ -259,28 +229,7 @@ func RunUEDetection(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	o := buildOracle(edges)
-
-	before, err := differential(st, o)
-	if err != nil {
-		return fmt.Errorf("pre-damage differential: %w", err)
-	}
-	if before.Failed != 0 {
-		return fmt.Errorf("pre-damage reads failed: %+v", before)
-	}
-
-	targets := injectChains(st, faults, cfg.UETargets)
-	if len(targets) == 0 {
-		return fmt.Errorf("workload left no PMEM chains to damage")
-	}
-	after, err := differential(st, o)
-	if err != nil {
-		return fmt.Errorf("post-damage differential: %w", err)
-	}
-	if after.Failed < len(targets) {
-		return fmt.Errorf("only %d reads failed for %d damaged vertices", after.Failed, len(targets))
-	}
-	return nil
+	return detect(st, faults, difftest.FromEdges(edges), cfg.UETargets)
 }
 
 // RunScrubRepair drives the full detect → scrub → repair loop: after the
@@ -294,35 +243,21 @@ func RunScrubRepair(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	o := buildOracle(edges)
+	o := difftest.FromEdges(edges)
 	targets := injectChains(st, faults, cfg.UETargets)
 	if len(targets) == 0 {
 		return fmt.Errorf("workload left no PMEM chains to damage")
 	}
 
-	rep, err := st.Scrub()
+	rep, err := repairAll(st, o)
 	if err != nil {
-		return fmt.Errorf("scrub: %w", err)
+		return err
 	}
 	if rep.Damaged < int64(len(targets)) {
 		return fmt.Errorf("scrub found %d damaged, injected %d", rep.Damaged, len(targets))
 	}
-	if rep.Unrecoverable != 0 || rep.Repaired != rep.Damaged {
-		return fmt.Errorf("scrub did not repair everything: %+v", rep)
-	}
 	if rep.SpansQuarantined == 0 {
 		return fmt.Errorf("repair quarantined nothing: %+v", rep)
-	}
-	if h := st.Health(); h.State != core.HealthOK {
-		return fmt.Errorf("health after scrub = %v (%+v)", h.State, h)
-	}
-
-	after, err := differential(st, o)
-	if err != nil {
-		return fmt.Errorf("post-scrub differential: %w", err)
-	}
-	if after.Failed != 0 {
-		return fmt.Errorf("reads still failing after repair: %+v", after)
 	}
 	return nil
 }
@@ -345,7 +280,7 @@ func RunUnrecoverable(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	o := buildOracle(edges)
+	o := difftest.FromEdges(edges)
 
 	// Target a vertex whose record stream is no longer fully resident:
 	// count its out-records in the log window and compare to the store.
@@ -450,43 +385,12 @@ func RunMixedFormatScrub(cfg Config, contEdges int64) error {
 		return fmt.Errorf("continuation wrote no varint records; chains are not mixed")
 	}
 
-	o := buildOracle(append(append([]graph.Edge(nil), edges...), cont...))
-	if rep, err := differential(rs, o); err != nil {
-		return fmt.Errorf("pre-damage differential: %w", err)
-	} else if rep.Failed != 0 {
-		return fmt.Errorf("pre-damage reads failed: %+v", rep)
+	o := difftest.FromEdges(append(append([]graph.Edge(nil), edges...), cont...))
+	if err := detect(rs, faults, o, cfg.UETargets); err != nil {
+		return err
 	}
-
-	targets := injectChains(rs, faults, cfg.UETargets)
-	if len(targets) == 0 {
-		return fmt.Errorf("workload left no PMEM chains to damage")
-	}
-	after, err := differential(rs, o)
-	if err != nil {
-		return fmt.Errorf("post-damage differential: %w", err)
-	}
-	if after.Failed < len(targets) {
-		return fmt.Errorf("only %d reads failed for %d damaged vertices", after.Failed, len(targets))
-	}
-
-	rep, err := rs.Scrub()
-	if err != nil {
-		return fmt.Errorf("scrub: %w", err)
-	}
-	if rep.Unrecoverable != 0 || rep.Repaired != rep.Damaged {
-		return fmt.Errorf("scrub did not repair everything: %+v", rep)
-	}
-	if h := rs.Health(); h.State != core.HealthOK {
-		return fmt.Errorf("health after scrub = %v (%+v)", h.State, h)
-	}
-	final, err := differential(rs, o)
-	if err != nil {
-		return fmt.Errorf("post-scrub differential: %w", err)
-	}
-	if final.Failed != 0 {
-		return fmt.Errorf("reads still failing after repair: %+v", final)
-	}
-	return nil
+	_, err = repairAll(rs, o)
+	return err
 }
 
 // RunNodeFailure pins whole-device failure: kill one NUMA node of a
@@ -501,7 +405,7 @@ func RunNodeFailure(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	o := buildOracle(edges)
+	o := difftest.FromEdges(edges)
 
 	const dead = 1
 	faults.FailNode(dead)
@@ -514,26 +418,28 @@ func RunNodeFailure(cfg Config) error {
 		return fmt.Errorf("ingest refusal is untyped: %v", ierr)
 	}
 
-	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
-	var healthy, failed int
-	for d := 0; d < 2; d++ {
-		for v := graph.VID(0); v < st.NumVertices(); v++ {
-			got, rerr := st.NbrsChecked(ctx, core.Direction(d), v, nil)
-			onDead := st.Node(core.Direction(d), v) == dead
+	// Healthy partitions answer oracle-exactly; reads on the dead node
+	// fail typed.
+	failed := 0
+	err = difftest.Check(st, o, difftest.Opts{Checked: true,
+		OnErr: func(d graph.Direction, v graph.VID, rerr error) error {
 			switch {
-			case rerr == nil:
-				if diff := diffMultiset(got, o.want(core.Direction(d), v)); diff != "" {
-					return fmt.Errorf("SILENT WRONG DATA vertex %d dir %d: %s", v, d, diff)
-				}
-				if !onDead {
-					healthy++
-				}
 			case !typedMediaError(rerr):
 				return fmt.Errorf("vertex %d dir %d: untyped error %v", v, d, rerr)
-			case !onDead:
+			case st.Node(d, v) != dead:
 				return fmt.Errorf("vertex %d dir %d on healthy node failed: %v", v, d, rerr)
-			default:
-				failed++
+			}
+			failed++
+			return nil
+		}})
+	if err != nil {
+		return err
+	}
+	healthy := 0
+	for v := graph.VID(0); v < st.NumVertices(); v++ {
+		for d := graph.Out; d <= graph.In; d++ {
+			if st.Node(d, v) != dead {
+				healthy++
 			}
 		}
 	}
@@ -545,8 +451,8 @@ func RunNodeFailure(cfg Config) error {
 	if h := st.Health(); h.State != core.HealthOK {
 		return fmt.Errorf("health after revive = %v", h.State)
 	}
-	if _, err := differential(st, o); err != nil {
-		return fmt.Errorf("post-revive differential: %w", err)
+	if err := clean(st, o); err != nil {
+		return fmt.Errorf("post-revive: %w", err)
 	}
 	return nil
 }
@@ -562,7 +468,7 @@ func RunQuarantinePersistence(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	o := buildOracle(edges)
+	o := difftest.FromEdges(edges)
 	if targets := injectChains(st, faults, cfg.UETargets); len(targets) == 0 {
 		return fmt.Errorf("workload left no PMEM chains to damage")
 	}
@@ -597,8 +503,8 @@ func RunQuarantinePersistence(cfg Config) error {
 	if got.State != want.State {
 		return fmt.Errorf("health state changed across recovery: got %v, want %v", got.State, want.State)
 	}
-	if _, err := differential(rs, o); err != nil {
-		return fmt.Errorf("recovered differential: %w", err)
+	if err := clean(rs, o); err != nil {
+		return fmt.Errorf("recovered: %w", err)
 	}
 	rep2, err := rs.Scrub()
 	if err != nil {

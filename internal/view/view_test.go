@@ -3,13 +3,13 @@ package view_test
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/difftest"
 	"repro/internal/graph"
 	"repro/internal/graphone"
 	"repro/internal/pmem"
@@ -54,78 +54,20 @@ func newWorkload() workload {
 	return w
 }
 
-// oracle is the reference answer for one workload.
-type oracle struct {
-	nbrs  [2]map[graph.VID][]uint32
-	recs  [2]map[graph.VID]int
-	label map[graph.Edge]uint16
-	prop  map[graph.VID]int64
-	typed bool // false: every edge default-labeled, no properties
-}
-
-func (w workload) oracle(typed bool) *oracle {
-	o := &oracle{label: map[graph.Edge]uint16{}, prop: map[graph.VID]int64{}, typed: typed}
-	for d := range o.nbrs {
-		o.nbrs[d] = map[graph.VID][]uint32{}
-		o.recs[d] = map[graph.VID]int{}
+// oracle is the reference answer for w; typed adds the labels and the
+// properties, which an implementer without a property layer drops.
+func (w workload) oracle(typed bool) *difftest.Oracle {
+	o := difftest.New()
+	if typed {
+		o.RegisterLabel("follows")
+		o.RegisterLabel("blocks")
+		o.IngestTyped(w.edges, w.labels)
+		o.SetProps(w.props)
+	} else {
+		o.Ingest(w.edges)
 	}
-	for i, e := range w.edges {
-		o.nbrs[graph.Out][e.Src] = append(o.nbrs[graph.Out][e.Src], e.Dst)
-		o.nbrs[graph.In][e.Dst] = append(o.nbrs[graph.In][e.Dst], e.Src)
-		o.recs[graph.Out][e.Src]++
-		o.recs[graph.In][e.Dst]++
-		o.label[e] = w.labels[i]
-	}
-	remove := func(s []uint32, x uint32) []uint32 {
-		for i, y := range s {
-			if y == x {
-				return append(s[:i:i], s[i+1:]...)
-			}
-		}
-		return s
-	}
-	for _, e := range w.dels {
-		src, dst := e.Src, e.Target()
-		o.nbrs[graph.Out][src] = remove(o.nbrs[graph.Out][src], dst)
-		o.nbrs[graph.In][dst] = remove(o.nbrs[graph.In][dst], src)
-		o.recs[graph.Out][src]++
-		o.recs[graph.In][dst]++
-	}
-	for _, p := range w.props {
-		o.prop[p.V] = p.Val
-	}
+	o.Ingest(w.dels)
 	return o
-}
-
-func (o *oracle) labelOf(src, dst graph.VID) uint16 {
-	if !o.typed {
-		return graph.DefaultLabel
-	}
-	return o.label[graph.Edge{Src: src, Dst: dst}]
-}
-
-func (o *oracle) vprop(v graph.VID) (int64, bool) {
-	if !o.typed {
-		return 0, false
-	}
-	val, ok := o.prop[v]
-	return val, ok
-}
-
-// want is v's d-neighbor multiset passing f.
-func (o *oracle) want(d graph.Direction, v graph.VID, f prop.Filter) []uint32 {
-	var out []uint32
-	for _, n := range o.nbrs[d][v] {
-		src, dst := v, n
-		if d == graph.In {
-			src, dst = n, v
-		}
-		get := func(key uint16) (int64, bool) { return o.vprop(n) }
-		if f.MatchLabel(o.labelOf(src, dst)) && f.MatchVertex(get) {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 var (
@@ -136,22 +78,6 @@ var (
 		{Key: 1, Op: prop.OpGe, Val: 10},
 	}
 )
-
-func sameMultiset(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	x := append([]uint32(nil), a...)
-	y := append([]uint32(nil), b...)
-	sort.Slice(x, func(i, j int) bool { return x[i] < x[j] })
-	sort.Slice(y, func(i, j int) bool { return y[i] < y[j] })
-	for i := range x {
-		if x[i] != y[i] {
-			return false
-		}
-	}
-	return true
-}
 
 func visit(src view.Source, d graph.Direction, v graph.VID, f prop.Filter) ([]uint32, error) {
 	var got []uint32
@@ -449,7 +375,7 @@ func TestConformance(t *testing.T) {
 // checkReads pins, per vertex and direction, the Visit multiset under
 // every filter, the checked decoder, the degree, and the dst prefix of
 // every appending read.
-func checkReads(t *testing.T, src view.Source, o *oracle) {
+func checkReads(t *testing.T, src view.Source, o *difftest.Oracle) {
 	t.Helper()
 	g := view.Graph{Source: src}
 	ctx := xpsim.NewCtx(xpsim.NodeUnbound)
@@ -461,17 +387,17 @@ func checkReads(t *testing.T, src view.Source, o *oracle) {
 				if err != nil {
 					t.Fatalf("Visit(%d, dir %d, %+v): %v", v, d, f, err)
 				}
-				if want := o.want(d, v, f); !sameMultiset(got, want) {
-					t.Fatalf("Visit(%d, dir %d, %+v) = %v, want %v", v, d, f, got, want)
+				if diff := difftest.Diff(got, o.Want(d, v, f)); diff != "" {
+					t.Fatalf("Visit(%d, dir %d, %+v): %s", v, d, f, diff)
 				}
 			}
-			all := o.want(d, v, prop.Filter{})
+			all := o.Want(d, v, prop.Filter{})
 			got, err := src.NbrsChecked(ctx, d, v, nil)
-			if err != nil || !sameMultiset(got, all) {
+			if err != nil || difftest.Diff(got, all) != "" {
 				t.Fatalf("NbrsChecked(%d, dir %d) = %v, %v; want %v", v, d, got, err, all)
 			}
-			if deg := src.Degree(d, v); deg != o.recs[d][v] {
-				t.Fatalf("Degree(dir %d, %d) = %d, want %d", d, v, deg, o.recs[d][v])
+			if deg := src.Degree(d, v); deg != o.Degree(d, v) {
+				t.Fatalf("Degree(dir %d, %d) = %d, want %d", d, v, deg, o.Degree(d, v))
 			}
 
 			reads := map[string]func(dst []uint32) ([]uint32, error){
@@ -487,7 +413,7 @@ func checkReads(t *testing.T, src view.Source, o *oracle) {
 			for name, read := range reads {
 				got, err := read(append([]uint32(nil), prefix...))
 				if err != nil || len(got) < len(prefix) || got[0] != prefix[0] || got[1] != prefix[1] ||
-					!sameMultiset(got[len(prefix):], all) {
+					difftest.Diff(got[len(prefix):], all) != "" {
 					t.Fatalf("%s(%d) with prefix %v = %v, %v; want the prefix then %v", name, v, prefix, got, err, all)
 				}
 			}
@@ -523,34 +449,27 @@ func checkBounds(t *testing.T, src view.Source) {
 	}
 }
 
-// checkProps pins the label table, LabelID, Label and VProp.
-func checkProps(t *testing.T, src view.Source, o *oracle) {
+// checkProps pins LabelID, then the label table, every live edge's
+// label and every vertex property through the shared Check, and VProp
+// under key 1 on every vertex, including where the oracle holds no key.
+func checkProps(t *testing.T, src view.Source, o *difftest.Oracle) {
 	t.Helper()
 	g := view.Graph{Source: src}
-	want := []string{""}
-	if o.typed {
-		want = []string{"", "follows", "blocks"}
-	}
-	if got := src.Labels(); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("Labels = %q, want %q", got, want)
-	}
-	if id, ok := g.LabelID("blocks"); ok != o.typed || (ok && id != blocks) {
+	typed := len(o.Labels()) > 1
+	if id, ok := g.LabelID("blocks"); ok != typed || (ok && id != blocks) {
 		t.Fatalf("LabelID(blocks) = %d, %v", id, ok)
 	}
 	if _, ok := g.LabelID(""); ok {
 		t.Fatal(`LabelID("") resolved the default label`)
 	}
-	for e := range o.label {
-		lbl, err := src.Label(e.Src, e.Dst)
-		if err != nil || lbl != o.labelOf(e.Src, e.Dst) {
-			t.Fatalf("Label(%d, %d) = %d, %v; want %d", e.Src, e.Dst, lbl, err, o.labelOf(e.Src, e.Dst))
-		}
+	if err := difftest.Check(src, o, difftest.Opts{}); err != nil {
+		t.Fatal(err)
 	}
 	for v := graph.VID(0); v < nv; v++ {
 		val, ok, err := src.VProp(v, 1)
-		wv, wok := o.vprop(v)
+		wv, wok := o.VProp(v, 1)
 		if err != nil || ok != wok || val != wv {
-			t.Fatalf("VProp(%d) = %d, %v, %v; want %d, %v", v, val, ok, err, wv, wok)
+			t.Fatalf("VProp(%d, 1) = %d, %v, %v; want %d, %v", v, val, ok, err, wv, wok)
 		}
 	}
 }
@@ -574,7 +493,7 @@ func TestConformanceDamaged(t *testing.T) {
 			for _, v := range []graph.VID{1, 2, 20} {
 				for _, d := range dirs {
 					got, err := visit(src, d, v, prop.Filter{})
-					if want := o.want(d, v, prop.Filter{}); err != nil || !sameMultiset(got, want) {
+					if want := o.Want(d, v, prop.Filter{}); err != nil || difftest.Diff(got, want) != "" {
 						t.Fatalf("zero-filter Visit(%d, dir %d) = %v, %v; want %v", v, d, got, err, want)
 					}
 					for _, f := range filters[1:] {
