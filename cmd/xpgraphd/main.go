@@ -86,109 +86,133 @@ import (
 	"repro/internal/xpsim"
 )
 
-func main() {
-	addr := flag.String("addr", ":7611", "listen address")
-	vertices := flag.Uint("vertices", 1<<20, "initial vertex-ID space")
-	shards := flag.Int("shards", 1, "partition count: vertices hash across this many shard stores, each on its own simulated machine (DESIGN.md §11)")
-	replicas := flag.Int("replicas", 0, "log-shipping read replicas per shard, each on its own simulated machine")
-	pmemGB := flag.Int64("pmem-gb", 4, "simulated PMEM per NUMA node (GiB)")
-	threads := flag.Int("threads", 16, "archive threads")
-	qthreads := flag.Int("qthreads", 32, "query threads")
-	queueCap := flag.Int("queue-cap", 1<<16, "ingest queue capacity (edges)")
-	batchEdges := flag.Int("batch-edges", 4096, "edges applied per ingest batch")
-	linger := flag.Duration("linger", 2*time.Millisecond, "batching linger time")
-	adaptive := flag.Bool("adaptive", false, "AIMD adaptive admission: auto-tune batch size, linger and the 429 threshold from observed queue depth and batch latency (DESIGN.md §12.3)")
-	adaptiveTarget := flag.Duration("adaptive-target", 0, "applied-batch latency target for -adaptive (default 2ms)")
-	flushEvery := flag.Duration("flush-every", 5*time.Second, "periodic vertex-buffer flush (0 disables)")
-	requestTimeout := flag.Duration("request-timeout", 0, "per-request deadline; requests past it answer 503 deadline_exceeded (0 disables)")
-	shutdownTimeout := flag.Duration("shutdown-timeout", 30*time.Second, "bound on graceful shutdown: HTTP drain plus ingest-queue drain share this budget (0 waits forever)")
-	mediaGuard := flag.Bool("media-guard", false, "checksummed media-error detection, scrubbing, and quarantine (see DESIGN.md §9)")
-	varintAdj := flag.Bool("varint-adj", false, "delta-varint compressed adjacency blocks (see DESIGN.md §10.2)")
-	props := flag.Bool("props", true, "property graph layer: typed edges, vertex properties, filtered traversals (DESIGN.md §13)")
-	propLogMB := flag.Int64("prop-log-mb", 16, "property column log per shard, in MiB (requires -props)")
-	archiveSSDMB := flag.Int64("archive-ssd-mb", 0, "SSD edge archive for scrub rebuilds, in MiB (requires -media-guard)")
-	scrubEvery := flag.Duration("scrub-every", 0, "periodic media scrub pass (requires -media-guard; 0 disables)")
-	ueDecay := flag.Float64("ue-decay", 0, "per-read probability a media line decays uncorrectable — demo/chaos knob (requires -media-guard)")
-	chaosSpec := flag.String("chaos", "", `seeded fault injection on the leader→replica shipping links, e.g. "seed=7,drop=0.05,dup=0.02,delay=0.1:2ms,part=2x40@400" (requires -replicas; DESIGN.md §14.4)`)
-	preload := flag.String("preload", "", "catalog dataset to pre-load (TT, FS, ...)")
-	scale := flag.Float64("scale", 0.1, "pre-load edge scale")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the phase timeline on shutdown")
-	flag.Parse()
+// config is everything xpgraphd's flags decide. parseFlags fills it,
+// each flag landing in exactly one field; main only builds from it.
+type config struct {
+	addr            string
+	shards          int
+	pmemBytes       int64   // simulated PMEM per NUMA node
+	ueDecay         float64 // per-read UE decay probability
+	preload         string
+	scale           float64
+	tracePath       string
+	shutdownTimeout time.Duration
+	// store is every node's core.Options; newNode fills Name and sizes
+	// AdjBytes from pmemBytes.
+	store core.Options
+	// cluster lacks only the ReplicaFactory, which main builds.
+	cluster cluster.Config
+	server  server.Config
+}
 
-	if *ueDecay > 0 && !*mediaGuard {
-		log.Fatal("xpgraphd: -ue-decay requires -media-guard")
+// parseFlags defines the daemon's flags on fs, parses args into a
+// config, and rejects flag combinations that would be silently ignored
+// or meaningless.
+func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
+	c := config{store: core.Options{NUMA: core.NUMASubgraph}}
+	fs.StringVar(&c.addr, "addr", ":7611", "listen address")
+	vertices := fs.Uint("vertices", 1<<20, "initial vertex-ID space")
+	fs.IntVar(&c.shards, "shards", 1, "partition count: vertices hash across this many shard stores, each on its own simulated machine (DESIGN.md §11)")
+	fs.IntVar(&c.cluster.Replicas, "replicas", 0, "log-shipping read replicas per shard, each on its own simulated machine")
+	pmemGB := fs.Int64("pmem-gb", 4, "simulated PMEM per NUMA node (GiB)")
+	fs.IntVar(&c.store.ArchiveThreads, "threads", 16, "archive threads")
+	fs.IntVar(&c.server.QueryThreads, "qthreads", 32, "query threads")
+	fs.IntVar(&c.cluster.QueueCap, "queue-cap", 1<<16, "ingest queue capacity (edges)")
+	fs.IntVar(&c.cluster.BatchEdges, "batch-edges", 4096, "edges applied per ingest batch")
+	fs.DurationVar(&c.cluster.Linger, "linger", 2*time.Millisecond, "batching linger time")
+	fs.BoolVar(&c.cluster.Adaptive, "adaptive", false, "AIMD adaptive admission: auto-tune batch size, linger and the 429 threshold from observed queue depth and batch latency (DESIGN.md §12.3)")
+	fs.DurationVar(&c.cluster.AdaptiveTarget, "adaptive-target", 0, "applied-batch latency target for -adaptive (default 2ms)")
+	fs.DurationVar(&c.cluster.FlushEvery, "flush-every", 5*time.Second, "periodic vertex-buffer flush (0 disables)")
+	fs.DurationVar(&c.server.RequestTimeout, "request-timeout", 0, "per-request deadline; requests past it answer 503 deadline_exceeded (0 disables)")
+	fs.DurationVar(&c.shutdownTimeout, "shutdown-timeout", 30*time.Second, "bound on graceful shutdown: HTTP drain plus ingest-queue drain share this budget (0 waits forever)")
+	fs.BoolVar(&c.store.MediaGuard, "media-guard", false, "checksummed media-error detection, scrubbing, and quarantine (see DESIGN.md §9)")
+	fs.BoolVar(&c.store.CompressedAdj, "varint-adj", false, "delta-varint compressed adjacency blocks (see DESIGN.md §10.2)")
+	fs.BoolVar(&c.store.Props, "props", true, "property graph layer: typed edges, vertex properties, filtered traversals (DESIGN.md §13)")
+	propLogMB := fs.Int64("prop-log-mb", 16, "property column log per shard, in MiB (requires -props)")
+	archiveSSDMB := fs.Int64("archive-ssd-mb", 0, "SSD edge archive for scrub rebuilds, in MiB (requires -media-guard)")
+	fs.DurationVar(&c.cluster.ScrubEvery, "scrub-every", 0, "periodic media scrub pass (requires -media-guard; 0 disables)")
+	fs.Float64Var(&c.ueDecay, "ue-decay", 0, "per-read probability a media line decays uncorrectable — demo/chaos knob (requires -media-guard)")
+	chaosSpec := fs.String("chaos", "", `seeded fault injection on the leader→replica shipping links, e.g. "seed=7,drop=0.05,dup=0.02,delay=0.1:2ms,part=2x40@400" (requires -replicas; DESIGN.md §14.4)`)
+	fs.StringVar(&c.preload, "preload", "", "catalog dataset to pre-load (TT, FS, ...)")
+	fs.Float64Var(&c.scale, "scale", 0.1, "pre-load edge scale")
+	fs.StringVar(&c.tracePath, "trace", "", "write a Chrome trace-event JSON of the phase timeline on shutdown")
+	if err := fs.Parse(args); err != nil {
+		return c, err
 	}
-	if *shards < 1 {
-		log.Fatal("xpgraphd: -shards must be >= 1")
-	}
-	// Every shard leader and every replica is its own simulated machine —
-	// its own failure domain, DIMMs and telemetry.
-	newNode := func(name string) (*core.Store, error) {
-		m := xpsim.NewMachine(2, *pmemGB<<30, xpsim.DefaultLatency())
-		if *mediaGuard {
-			// Arm the fault model so operators can exercise UE injection and
-			// the health endpoint reports live UE-line counts.
-			faults := m.TrackFaults()
-			if *ueDecay > 0 {
-				faults.SetDecay(*ueDecay, 0x5EED_DECA)
-			}
-		}
-		return core.New(m, pmem.NewHeap(m), nil, core.Options{
-			Name:            name,
-			NumVertices:     uint32(*vertices),
-			ArchiveThreads:  *threads,
-			NUMA:            core.NUMASubgraph,
-			AdjBytes:        (*pmemGB << 30) / 4,
-			MediaGuard:      *mediaGuard,
-			CompressedAdj:   *varintAdj,
-			ArchiveSSDBytes: *archiveSSDMB << 20,
-			Props:           *props,
-			PropLogBytes:    *propLogMB << 20,
-		})
-	}
+	c.store.NumVertices = uint32(*vertices)
+	c.pmemBytes = *pmemGB << 30
+	c.store.PropLogBytes = *propLogMB << 20
+	c.store.ArchiveSSDBytes = *archiveSSDMB << 20
 
-	stores := make([]*core.Store, *shards)
-	for i := range stores {
-		var err error
-		stores[i], err = newNode(fmt.Sprintf("xpgraphd-s%d", i))
-		if err != nil {
-			log.Fatal(err)
-		}
+	if c.ueDecay > 0 && !c.store.MediaGuard {
+		return c, errors.New("xpgraphd: -ue-decay requires -media-guard")
 	}
-	ccfg := cluster.Config{
-		Replicas:       *replicas,
-		QueueCap:       *queueCap,
-		BatchEdges:     *batchEdges,
-		Linger:         *linger,
-		FlushEvery:     *flushEvery,
-		ScrubEvery:     *scrubEvery,
-		Adaptive:       *adaptive,
-		AdaptiveTarget: *adaptiveTarget,
+	if c.cluster.ScrubEvery > 0 && !c.store.MediaGuard {
+		return c, errors.New("xpgraphd: -scrub-every requires -media-guard")
 	}
-	if *replicas > 0 {
-		ccfg.ReplicaFactory = func(shardID, replica int) (*core.Store, error) {
-			return newNode(fmt.Sprintf("xpgraphd-s%d-r%d", shardID, replica))
-		}
+	if c.shards < 1 {
+		return c, errors.New("xpgraphd: -shards must be >= 1")
 	}
 	if *chaosSpec != "" {
-		if *replicas < 1 {
-			log.Fatal("xpgraphd: -chaos requires -replicas (it injects faults on the shipping links)")
+		if c.cluster.Replicas < 1 {
+			return c, errors.New("xpgraphd: -chaos requires -replicas (it injects faults on the shipping links)")
 		}
 		plan, parts, err := chaos.Parse(*chaosSpec)
 		if err != nil {
-			log.Fatal(err)
+			return c, err
 		}
 		var links []chaos.Link
-		for s := 0; s < *shards; s++ {
-			for r := 0; r < *replicas; r++ {
+		for s := 0; s < c.shards; s++ {
+			for r := 0; r < c.cluster.Replicas; r++ {
 				links = append(links, chaos.Link{Shard: s, Replica: r})
 			}
 		}
 		parts.Finish(plan, links)
-		ccfg.Transport = cluster.NewChaosTransport(plan)
-		fmt.Fprintf(os.Stderr, "xpgraphd: chaos armed on %d shipping link(s): %s\n", len(links), *chaosSpec)
+		c.cluster.Transport = cluster.NewChaosTransport(plan)
 	}
-	cl, err := cluster.New(stores, ccfg)
+	return c, nil
+}
+
+// newNode builds one shard leader or replica store on its own simulated
+// machine — its own failure domain, DIMMs and telemetry.
+func (c config) newNode(name string) (*core.Store, error) {
+	m := xpsim.NewMachine(2, c.pmemBytes, xpsim.DefaultLatency())
+	if c.store.MediaGuard {
+		// Arm the fault model so operators can exercise UE injection and
+		// the health endpoint reports live UE-line counts.
+		faults := m.TrackFaults()
+		if c.ueDecay > 0 {
+			faults.SetDecay(c.ueDecay, 0x5EED_DECA)
+		}
+	}
+	opts := c.store
+	opts.Name = name
+	opts.AdjBytes = c.pmemBytes / 4
+	return core.New(m, pmem.NewHeap(m), nil, opts)
+}
+
+func main() {
+	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	stores := make([]*core.Store, cfg.shards)
+	for i := range stores {
+		stores[i], err = cfg.newNode(fmt.Sprintf("xpgraphd-s%d", i))
+		if err != nil {
+			log.Fatal(err)
+		}
+	}
+	if cfg.cluster.Replicas > 0 {
+		cfg.cluster.ReplicaFactory = func(shardID, replica int) (*core.Store, error) {
+			return cfg.newNode(fmt.Sprintf("xpgraphd-s%d-r%d", shardID, replica))
+		}
+	}
+	if cfg.cluster.Transport != nil {
+		fmt.Fprintf(os.Stderr, "xpgraphd: chaos armed on %d shipping link(s)\n", cfg.shards*cfg.cluster.Replicas)
+	}
+	cl, err := cluster.New(stores, cfg.cluster)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -198,13 +222,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *preload != "" {
-		ds, err := gen.ByName(*preload)
+	if cfg.preload != "" {
+		ds, err := gen.ByName(cfg.preload)
 		if err != nil {
 			log.Fatal(err)
 		}
-		n := int64(float64(ds.Edges) * *scale)
-		fmt.Fprintf(os.Stderr, "pre-loading %d edges of %s across %d shard(s)...\n", n, ds.Full, *shards)
+		n := int64(float64(ds.Edges) * cfg.scale)
+		fmt.Fprintf(os.Stderr, "pre-loading %d edges of %s across %d shard(s)...\n", n, ds.Full, cfg.shards)
 		simNs, err := cl.IngestLocal(gen.RMAT(ds.Scale, n, ds.Seed))
 		if err != nil {
 			log.Fatal(err)
@@ -212,28 +236,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "loaded in %.3fs simulated\n", float64(simNs)/1e9)
 	}
 
-	var tracer *obs.Tracer
-	if *tracePath != "" {
-		tracer = obs.NewTracer(1 << 16)
+	if cfg.tracePath != "" {
+		cfg.server.Tracer = obs.NewTracer(1 << 16)
 	}
-	srv := server.NewCluster(cl, server.Config{
-		QueryThreads:   *qthreads,
-		QueueCap:       *queueCap,
-		BatchEdges:     *batchEdges,
-		Linger:         *linger,
-		FlushEvery:     *flushEvery,
-		Tracer:         tracer,
-		RequestTimeout: *requestTimeout,
-		ScrubEvery:     *scrubEvery,
-	})
+	srv := server.NewCluster(cl, cfg.server)
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := &http.Server{Addr: cfg.addr, Handler: srv}
 	errC := make(chan error, 1)
 	go func() { errC <- httpSrv.ListenAndServe() }()
 
 	sigC := make(chan os.Signal, 1)
 	signal.Notify(sigC, syscall.SIGINT, syscall.SIGTERM)
-	fmt.Fprintf(os.Stderr, "xpgraphd listening on %s\n", *addr)
+	fmt.Fprintf(os.Stderr, "xpgraphd listening on %s\n", cfg.addr)
 
 	select {
 	case err := <-errC:
@@ -247,9 +261,9 @@ func main() {
 	// so a wedged drain cannot hold the process hostage forever.
 	var deadline <-chan struct{}
 	ctx := context.Background()
-	if *shutdownTimeout > 0 {
+	if cfg.shutdownTimeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *shutdownTimeout)
+		ctx, cancel = context.WithTimeout(ctx, cfg.shutdownTimeout)
 		defer cancel()
 		deadline = ctx.Done()
 	}
@@ -267,12 +281,12 @@ func main() {
 	case <-deadline:
 		fmt.Fprintf(os.Stderr,
 			"xpgraphd: shutdown deadline (%v) fired before the ingest drain finished; exiting with queued writes unapplied\n",
-			*shutdownTimeout)
+			cfg.shutdownTimeout)
 		os.Exit(1)
 	}
 
-	if *tracePath != "" {
-		if err := writeTrace(*tracePath, srv.Tracer()); err != nil {
+	if cfg.tracePath != "" {
+		if err := writeTrace(cfg.tracePath, srv.Tracer()); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -316,8 +316,8 @@ type IngestResult struct {
 // Epoch is the scalar fold of the result's epoch vector.
 func (r IngestResult) Epoch() uint64 { return EpochScalar(r.Epochs) }
 
-// Ingest routes one batch: splits it by owner shard, checks each owner's
-// breaker and queue, and enqueues. With sync=true it waits until every
+// Ingest routes one batch: splits it by owner shard, runs each owner's
+// admission check, and enqueues. With sync=true it waits until every
 // shard has applied and published its part (read-your-writes across the
 // whole batch); with sync=false it returns once every part is queued.
 //
@@ -330,29 +330,20 @@ func (r IngestResult) Epoch() uint64 { return EpochScalar(r.Epochs) }
 // transactions the evolving-graph workload does not ask for.
 func (c *Cluster) Ingest(edges []graph.Edge, sync bool) (IngestResult, error) {
 	res := IngestResult{}
-	parts := c.splitPooled(edges)
-	defer func() {
-		for _, p := range parts {
-			if p != nil {
-				ingest.PutEdgeBuf(p)
-			}
-		}
-	}()
+	parts := c.split(edges, nil, nil, false)
+	defer release(parts)
 
 	reqs := make([]*ingest.Request, len(parts))
 	enq := make([][]graph.Edge, len(parts)) // buffers the pipelines own
 	var firstErr *ShardError
-	for i, part := range parts {
+	for i := range parts {
+		part := parts[i].edges
 		if len(part) == 0 {
 			continue
 		}
 		sh := c.shards[i]
-		if sh.down.Load() {
-			firstErr = &ShardError{Shard: i, Err: ErrShardDown}
-			break
-		}
-		if ok, wait := sh.br.allow(time.Now()); !ok {
-			firstErr = &ShardError{Shard: i, Err: &BreakerOpenError{Wait: wait}}
+		if err := sh.admit(); err != nil {
+			firstErr = &ShardError{Shard: i, Err: err}
 			break
 		}
 		req := ingest.NewRequest(part)
@@ -367,7 +358,7 @@ func (c *Cluster) Ingest(edges []graph.Edge, sync bool) (IngestResult, error) {
 		}
 		sh.br.NoteAdmit()
 		// The pipeline owns the part until its Result is delivered.
-		parts[i], enq[i] = nil, part
+		parts[i].edges, enq[i] = nil, part
 		reqs[i] = req
 	}
 
@@ -406,7 +397,7 @@ func (c *Cluster) Ingest(edges []graph.Edge, sync bool) (IngestResult, error) {
 			r = <-req.Done()
 		}
 		// Result delivered: the pipeline is done with the part's buffer.
-		parts[i] = enq[i]
+		parts[i].edges = enq[i]
 		if r.Err != nil {
 			if firstErr == nil {
 				firstErr = &ShardError{Shard: i, Err: r.Err}
@@ -426,63 +417,81 @@ func (c *Cluster) Ingest(edges []graph.Edge, sync bool) (IngestResult, error) {
 	return res, nil
 }
 
-// splitPooled partitions edges by owner into pooled per-shard buffers.
-func (c *Cluster) splitPooled(edges []graph.Edge) [][]graph.Edge {
-	parts := make([][]graph.Edge, len(c.shards))
-	if len(c.shards) == 1 {
-		buf := ingest.GetEdgeBuf()
-		parts[0] = append(buf, edges...)
-		return parts
-	}
+// split partitions one write into per-shard entries: an edge — and its
+// label on a typed write, the default label when labels is short — goes
+// to its source's owner shard, a property write to its vertex's owner.
+// Edge buffers are pooled; hand them back with release.
+func (c *Cluster) split(edges []graph.Edge, labels []uint16, props []graph.PropSet, typed bool) []shipEntry {
+	parts := make([]shipEntry, len(c.shards))
 	for i := range parts {
-		parts[i] = ingest.GetEdgeBuf()
+		parts[i] = shipEntry{typed: typed, edges: ingest.GetEdgeBuf()}
 	}
-	for _, e := range edges {
-		o := c.pmap.Owner(e.Src)
-		parts[o] = append(parts[o], e)
+	for i, e := range edges {
+		o := 0
+		if len(parts) > 1 {
+			o = c.pmap.Owner(e.Src)
+		}
+		p := &parts[o]
+		p.edges = append(p.edges, e)
+		if typed {
+			lbl := uint16(graph.DefaultLabel)
+			if i < len(labels) {
+				lbl = labels[i]
+			}
+			p.labels = append(p.labels, lbl)
+		}
+	}
+	for _, ps := range props {
+		o := c.pmap.Owner(ps.V)
+		parts[o].props = append(parts[o].props, ps)
 	}
 	return parts
 }
 
-// IngestLocal applies edges synchronously, bypassing the pipelines — the
-// bulk-load path (bench, preload). Each shard applies its partition
-// under its own lock, republishes, and ships to its followers; the
-// returned simulated time is the slowest shard's, since every shard is
-// its own machine applying in parallel.
-func (c *Cluster) IngestLocal(edges []graph.Edge) (simNs int64, err error) {
-	parts := c.splitPooled(edges)
-	defer func() {
-		for _, p := range parts {
-			if p != nil {
-				ingest.PutEdgeBuf(p)
-			}
+// release returns the parts' pooled edge buffers.
+func release(parts []shipEntry) {
+	for _, p := range parts {
+		if p.edges != nil {
+			ingest.PutEdgeBuf(p.edges)
 		}
-	}()
-	for i, part := range parts {
-		if len(part) == 0 {
+	}
+}
+
+// commitAll commits every non-empty part synchronously on its owner
+// shard, each behind the same admission check as Ingest. Per-shard
+// atomic like Ingest: the first refusing or failing shard is named and
+// the parts committed before it stay.
+func (c *Cluster) commitAll(parts []shipEntry) (IngestResult, error) {
+	res := IngestResult{}
+	for i, e := range parts {
+		if len(e.edges) == 0 && len(e.props) == 0 {
 			continue
 		}
 		sh := c.shards[i]
-		if sh.down.Load() {
-			return simNs, &ShardError{Shard: i, Err: ErrShardDown}
+		if err := sh.admit(); err != nil {
+			return res, &ShardError{Shard: i, Err: err}
 		}
-		sh.mu.Lock()
-		rep, ierr := sh.store.Ingest(part)
-		var msg shipMsg
-		if ierr == nil {
-			epoch := sh.publishLocked(xpsim.NewCtx(xpsim.NodeUnbound))
-			msg = sh.recordShipLocked(shipEntry{edges: part, epoch: epoch})
+		simNs, _, err := sh.commit(e)
+		if err != nil {
+			return res, &ShardError{Shard: i, Err: err}
 		}
-		sh.mu.Unlock()
-		if ierr != nil {
-			return simNs, &ShardError{Shard: i, Err: ierr}
-		}
-		sh.dispatch(msg)
-		if ns := rep.TotalNs(); ns > simNs {
-			simNs = ns
-		}
+		res.Accepted += int64(len(e.edges))
+		res.Batches++
+		res.SimNs = max(res.SimNs, simNs) // shards apply in parallel: slowest wins
 	}
-	return simNs, nil
+	res.Epochs = c.EpochVector()
+	return res, nil
+}
+
+// IngestLocal applies edges synchronously, bypassing the pipelines — the
+// bulk-load path (bench, preload). Each shard commits its partition; the
+// returned simulated time is the slowest shard's, since every shard is
+// its own machine applying in parallel.
+func (c *Cluster) IngestLocal(edges []graph.Edge) (simNs int64, err error) {
+	parts := c.split(edges, nil, nil, false)
+	defer release(parts)
+	res, err := c.commitAll(parts)
+	return res.SimNs, err
 }
 
 // ---- admin ops (exclusive per-shard lock, then republish) ----

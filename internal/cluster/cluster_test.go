@@ -13,6 +13,7 @@ import (
 	"repro/internal/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/ingest"
 	"repro/internal/pmem"
 	"repro/internal/xpsim"
 )
@@ -328,5 +329,20 @@ func TestShutdownConvergence(t *testing.T) {
 				t.Fatalf("shard %d replica %d drained %d edges, leader %d", i, ri, got, want)
 			}
 		}
+	}
+}
+
+// TestShutdownCloseRefusesWrites: after an abrupt Close the pipelined
+// and bulk write paths refuse with ErrShuttingDown, instead of an async
+// write reporting its edges accepted while the stopped pipeline drops
+// them.
+func TestShutdownCloseRefusesWrites(t *testing.T) {
+	cl := newCluster(t, 2, 0, Config{})
+	cl.Close()
+	if res, err := cl.Ingest(testEdges(10), false); !errors.Is(err, ingest.ErrShuttingDown) || res.Accepted != 0 {
+		t.Errorf("async Ingest after Close = %d accepted, %v; want ErrShuttingDown", res.Accepted, err)
+	}
+	if _, err := cl.IngestLocal(testEdges(10)); !errors.Is(err, ingest.ErrShuttingDown) {
+		t.Errorf("IngestLocal after Close = %v, want ErrShuttingDown", err)
 	}
 }

@@ -420,7 +420,7 @@ func (r *Replica) applyMsg(m shipMsg) bool {
 	}
 	if err == nil {
 		r.mu.Lock()
-		if err = r.apply(m.e); err == nil {
+		if _, err = applyEntry(r.store, m.e); err == nil {
 			r.nextSeq.Store(m.seq + 1)
 			old := r.cur
 			r.cur = &published{
@@ -447,32 +447,34 @@ func (r *Replica) applyMsg(m shipMsg) bool {
 	return false
 }
 
-// apply replays one shipped entry into the follower store (callers hold
-// mu exclusively). Plain entries are a straight Ingest; typed entries
-// replay label-table broadcasts first (so shipped ids always resolve),
-// then the typed edges, then the property writes — the same order the
-// leader applied them in.
-func (r *Replica) apply(e *shipEntry) error {
-	if !e.typed {
-		_, err := r.store.Ingest(e.edges)
-		return err
-	}
+// applyEntry is the one store mutation for a shipped entry: a leader's
+// commit runs it under the shard lock and every follower replays the
+// same entry through it under its own lock, so a follower applies
+// exactly the code its leader ran. Label-table broadcasts go first (so
+// shipped ids always resolve), then the edges — a straight Ingest on a
+// plain entry, labeled on a typed one — then the property writes.
+// Returns the simulated store time of the edge application.
+func applyEntry(st *core.Store, e *shipEntry) (int64, error) {
 	for _, d := range e.defs {
-		if err := r.store.SetLabelDef(d.id, d.name); err != nil {
-			return err
+		if err := st.SetLabelDef(d.id, d.name); err != nil {
+			return 0, err
 		}
 	}
-	if len(e.edges) > 0 {
-		if _, err := r.store.IngestTyped(e.edges, e.labels); err != nil {
-			return err
-		}
+	var rep core.IngestReport
+	var err error
+	switch {
+	case !e.typed:
+		rep, err = st.Ingest(e.edges)
+	case len(e.edges) > 0:
+		rep, err = st.IngestTyped(e.edges, e.labels)
 	}
-	if len(e.props) > 0 {
-		if err := r.store.SetProps(e.props); err != nil {
-			return err
-		}
+	if err == nil && len(e.props) > 0 {
+		err = st.SetProps(e.props)
 	}
-	return nil
+	if err != nil {
+		return 0, err
+	}
+	return rep.TotalNs(), nil
 }
 
 // resync is the catch-up state machine (DESIGN.md §14.3). Each round
@@ -562,13 +564,14 @@ func (r *Replica) snapshotResync() error {
 
 	leader := r.sh.store
 	if fresh.PropsEnabled() && leader.PropsEnabled() {
+		defs := shipEntry{typed: true}
 		for id, name := range leader.Labels() {
-			if id == 0 || name == "" {
-				continue
+			if id != 0 && name != "" {
+				defs.defs = append(defs.defs, labelDef{id: uint16(id), name: name})
 			}
-			if err := fresh.SetLabelDef(uint16(id), name); err != nil {
-				return err
-			}
+		}
+		if _, err := applyEntry(fresh, &defs); err != nil {
+			return err
 		}
 		pe, pl, ps := leader.ExportPropState()
 		if err := fresh.RestorePropState(pe, pl, ps); err != nil {
@@ -582,7 +585,7 @@ func (r *Replica) snapshotResync() error {
 		if len(batch) == 0 {
 			return nil
 		}
-		_, ferr := fresh.Ingest(batch)
+		_, ferr := applyEntry(fresh, &shipEntry{edges: batch})
 		batch = batch[:0]
 		return ferr
 	}

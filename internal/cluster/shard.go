@@ -179,12 +179,12 @@ func (sh *Shard) health() core.Health {
 
 // recordShipLocked assigns the next stream sequence number to one
 // applied chunk, deep-copies its payload into an immutable entry, and
-// appends it to the retention ring. Callers must hold mu exclusively —
-// in the SAME window that applied and published the chunk, so sequence
-// order is application order even when the pipeline and the synchronous
-// typed path interleave. Returns the framed message to dispatch after
-// the lock is released; the zero shipMsg (no replicas) dispatches as a
-// no-op.
+// appends it to the retention ring. Callers (commit and RegisterLabel)
+// must hold mu exclusively — in the SAME window that applied the chunk,
+// so sequence order is application order even when the pipeline and
+// the synchronous writers interleave. Returns the framed message to
+// dispatch after the lock is released; the zero shipMsg (no replicas)
+// dispatches as a no-op.
 func (sh *Shard) recordShipLocked(e shipEntry) shipMsg {
 	if len(sh.replicas) == 0 {
 		return shipMsg{}
@@ -271,35 +271,58 @@ func (sh *Shard) dispatch(m shipMsg) {
 	}
 }
 
-// shardApplier is the shard's side of the ingest.Applier contract. It
-// runs on the pipeline's single writer goroutine and owns the lock
-// ordering: every application takes the shard's exclusive lock, ends in
-// a snapshot publication plus a ship-stream record, feeds the circuit
-// breaker, and dispatches the chunk to the followers outside the lock.
-type shardApplier struct {
-	sh *Shard
+// live refuses every write to a shard that cannot take one: a killed
+// shard with ErrShardDown, a draining or stopped pipeline with
+// ingest.ErrShuttingDown (its followers are closing, so nothing may
+// join the ship stream).
+func (sh *Shard) live() error {
+	if sh.down.Load() {
+		return ErrShardDown
+	}
+	select {
+	case <-sh.pipe.Stopping():
+		return ingest.ErrShuttingDown
+	default:
+	}
+	if sh.pipe.Draining() {
+		return ingest.ErrShuttingDown
+	}
+	return nil
 }
 
-// Apply ingests one chunk under the exclusive lock and, on success,
-// republishes the snapshot, records the chunk on the ship stream, and
-// dispatches it.
-func (a *shardApplier) Apply(chunk []graph.Edge) (int64, uint64, error) {
-	sh := a.sh
-	wctx := xpsim.NewCtx(xpsim.NodeUnbound)
+// admit is the one write-admission check, shared by the pipelined, bulk
+// and typed write paths: live, then the breaker, whose open state
+// refuses with a BreakerOpenError.
+func (sh *Shard) admit() error {
+	if err := sh.live(); err != nil {
+		return err
+	}
+	if ok, wait := sh.br.allow(time.Now()); !ok {
+		return &BreakerOpenError{Wait: wait}
+	}
+	return nil
+}
+
+// commit is the one leader write step: under the exclusive lock it
+// applies e to the store (applyEntry, the code every follower replays),
+// publishes a snapshot, and records e on the ship stream at the new
+// epoch; then it feeds the breaker and dispatches e to the followers
+// outside the lock. It returns the simulated store time and the epoch
+// at which e became readable.
+func (sh *Shard) commit(e shipEntry) (simNs int64, epoch uint64, err error) {
 	sh.mu.Lock()
-	rep, err := sh.store.Ingest(chunk)
-	var epoch uint64
+	simNs, err = applyEntry(sh.store, &e)
 	var msg shipMsg
 	if err == nil {
-		epoch = sh.publishLocked(wctx)
-		msg = sh.recordShipLocked(shipEntry{edges: chunk, epoch: epoch})
+		epoch = sh.publishLocked(xpsim.NewCtx(xpsim.NodeUnbound))
+		e.epoch = epoch
+		msg = sh.recordShipLocked(e)
 	}
 	sh.mu.Unlock()
 
 	if err != nil {
 		// Media-write failures feed the circuit breaker so repeated ones
-		// shed new writes up front instead of queueing them into a
-		// failing pipeline.
+		// shed new writes up front instead of failing each in turn.
 		var me *xpsim.MediaError
 		if errors.As(err, &me) {
 			sh.br.recordFailure(time.Now())
@@ -308,7 +331,19 @@ func (a *shardApplier) Apply(chunk []graph.Edge) (int64, uint64, error) {
 	}
 	sh.br.recordSuccess()
 	sh.dispatch(msg)
-	return rep.TotalNs(), epoch, nil
+	return simNs, epoch, nil
+}
+
+// shardApplier is the shard's side of the ingest.Applier contract. It
+// runs on the pipeline's single writer goroutine; every chunk goes
+// through the shard's commit step.
+type shardApplier struct {
+	sh *Shard
+}
+
+// Apply commits one plain chunk.
+func (a *shardApplier) Apply(chunk []graph.Edge) (int64, uint64, error) {
+	return a.sh.commit(shipEntry{edges: chunk})
 }
 
 // Flush is the pipeline's background archive step: it drains every

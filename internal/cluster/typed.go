@@ -2,17 +2,18 @@ package cluster
 
 import (
 	"repro/internal/graph"
-	"repro/internal/ingest"
-	"repro/internal/xpsim"
 )
 
 // The typed write path of the cluster (DESIGN.md §13). Typed batches are
-// applied synchronously under each owner shard's exclusive lock — they
-// bypass the async pipeline on purpose: a typed edge's adjacency record
-// and its label record must land in the same lock window, or a reader
-// could see the edge with a stale label. The deliberate tradeoff is that
-// typed writes pay per-batch lock latency instead of pipeline batching;
-// mixed workloads keep the plain async path for their untyped edges.
+// committed synchronously on each owner shard — not queued through the
+// async pipeline — because a typed edge's adjacency record and its label
+// record must land in the same lock window, or a reader could see the
+// edge with a stale label. The deliberate tradeoff is that typed writes
+// pay per-batch lock latency instead of pipeline batching; mixed
+// workloads keep the plain async path for their untyped edges. Apart
+// from the queue, a typed batch takes the plain path's every step: the
+// same admission check (down, draining, open breaker), the same split,
+// and the same commit step, whose media failures feed the breaker.
 //
 // Routing follows the plain path exactly: a typed edge lives — adjacency
 // and label both — with its source's owner shard, and a vertex property
@@ -22,17 +23,19 @@ import (
 
 // RegisterLabel assigns one cluster-wide label id for name: shard 0's
 // store assigns it (durable before this returns), every other shard
-// installs the identical (id, name), and every replica receives it via
-// log shipping. Registering an existing name returns its id.
+// applies the identical (id, name) def, and every replica receives it
+// via log shipping. Registering an existing name returns its id. The
+// def joins the ship stream without a snapshot publication: it changes
+// no adjacency, so no epoch moves.
 //
-// Registration is refused while any shard is down: a missed broadcast
-// would leave that partition resolving the name to nothing after it
-// comes back, and label registration is rare enough that fail-closed
-// beats a repair protocol.
+// Registration is refused while any shard is down or shutting down: a
+// missed broadcast would leave that partition resolving the name to
+// nothing after it comes back, and label registration is rare enough
+// that fail-closed beats a repair protocol.
 func (c *Cluster) RegisterLabel(name string) (uint16, error) {
 	for _, sh := range c.shards {
-		if sh.down.Load() {
-			return 0, &ShardError{Shard: sh.id, Err: ErrShardDown}
+		if err := sh.live(); err != nil {
+			return 0, &ShardError{Shard: sh.id, Err: err}
 		}
 	}
 	var id uint16
@@ -40,17 +43,17 @@ func (c *Cluster) RegisterLabel(name string) (uint16, error) {
 		sh.mu.Lock()
 		var err error
 		if i == 0 {
+			// Shard 0 assigns the id: the one store mutation of the
+			// cluster that is not a shipped entry's applyEntry.
 			id, err = sh.store.RegisterLabel(name)
-		} else {
-			err = sh.store.SetLabelDef(id, name)
+		}
+		e := shipEntry{epoch: sh.pipe.Epoch(), typed: true, defs: []labelDef{{id: id, name: name}}}
+		if i > 0 {
+			_, err = applyEntry(sh.store, &e)
 		}
 		var msg shipMsg
 		if err == nil {
-			msg = sh.recordShipLocked(shipEntry{
-				epoch: sh.pipe.Epoch(),
-				typed: true,
-				defs:  []labelDef{{id: id, name: name}},
-			})
+			msg = sh.recordShipLocked(e)
 		}
 		sh.mu.Unlock()
 		if err != nil {
@@ -63,84 +66,12 @@ func (c *Cluster) RegisterLabel(name string) (uint16, error) {
 
 // IngestTyped routes one typed batch synchronously: edges[i] carries
 // labels[i] (default label when the labels slice is short), props are
-// vertex-property writes. Each owner shard applies its part — adjacency,
-// labels, and properties — under its exclusive lock, republishes, and
-// ships the typed entry to its followers. Per-shard atomic like Ingest:
-// a failing shard is named and the parts routed elsewhere still land.
+// vertex-property writes. Each owner shard commits its part — adjacency,
+// labels, and properties in one entry — and ships it to its followers.
+// Per-shard atomic like Ingest: a refusing or failing shard is named and
+// the parts routed elsewhere still land.
 func (c *Cluster) IngestTyped(edges []graph.Edge, labels []uint16, props []graph.PropSet) (IngestResult, error) {
-	res := IngestResult{}
-	n := len(c.shards)
-	eparts := make([][]graph.Edge, n)
-	lparts := make([][]uint16, n)
-	pparts := make([][]graph.PropSet, n)
-	for i := range eparts {
-		eparts[i] = ingest.GetEdgeBuf()
-	}
-	defer func() {
-		for _, p := range eparts {
-			if p != nil {
-				ingest.PutEdgeBuf(p)
-			}
-		}
-	}()
-	for i, e := range edges {
-		o := c.pmap.Owner(e.Src)
-		eparts[o] = append(eparts[o], e)
-		lbl := uint16(graph.DefaultLabel)
-		if i < len(labels) {
-			lbl = labels[i]
-		}
-		lparts[o] = append(lparts[o], lbl)
-	}
-	for _, p := range props {
-		o := c.pmap.Owner(p.V)
-		pparts[o] = append(pparts[o], p)
-	}
-
-	for i, sh := range c.shards {
-		if len(eparts[i]) == 0 && len(pparts[i]) == 0 {
-			continue
-		}
-		if sh.down.Load() {
-			return res, &ShardError{Shard: i, Err: ErrShardDown}
-		}
-		wctx := xpsim.NewCtx(xpsim.NodeUnbound)
-		sh.mu.Lock()
-		var err error
-		var simNs int64
-		if len(eparts[i]) > 0 {
-			rep, ierr := sh.store.IngestTyped(eparts[i], lparts[i])
-			if ierr != nil {
-				err = ierr
-			} else {
-				simNs = rep.TotalNs()
-			}
-		}
-		if err == nil && len(pparts[i]) > 0 {
-			err = sh.store.SetProps(pparts[i])
-		}
-		var msg shipMsg
-		if err == nil {
-			epoch := sh.publishLocked(wctx)
-			msg = sh.recordShipLocked(shipEntry{
-				epoch:  epoch,
-				typed:  true,
-				edges:  eparts[i],
-				labels: lparts[i],
-				props:  pparts[i],
-			})
-		}
-		sh.mu.Unlock()
-		if err != nil {
-			return res, &ShardError{Shard: i, Err: err}
-		}
-		sh.dispatch(msg)
-		res.Accepted += int64(len(eparts[i]))
-		res.Batches++
-		if simNs > res.SimNs {
-			res.SimNs = simNs // shards apply in parallel: slowest wins
-		}
-	}
-	res.Epochs = c.EpochVector()
-	return res, nil
+	parts := c.split(edges, labels, props, true)
+	defer release(parts)
+	return c.commitAll(parts)
 }

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/difftest"
 	"repro/internal/graph"
 	"repro/internal/pmem"
 	"repro/internal/prop"
+	"repro/internal/rng"
 	"repro/internal/xpsim"
 )
 
@@ -195,5 +197,92 @@ func TestClusterTypedFailClosed(t *testing.T) {
 	}
 	if _, err := cl.IngestTyped([]graph.Edge{{Src: uint32(liveV), Dst: 1}}, []uint16{1}, nil); err != nil {
 		t.Fatalf("typed ingest to live shard: %v", err)
+	}
+}
+
+// waitShipped polls until every follower has applied everything its
+// leader recorded on the ship stream.
+func waitShipped(t *testing.T, cl *Cluster) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; i < cl.Shards(); i++ {
+		sh := cl.Shard(i)
+		for _, r := range sh.Replicas() {
+			for r.NextSeq() != sh.ShipSeq()+1 {
+				if r.State() != "running" || time.Now().After(deadline) {
+					t.Fatalf("shard %d replica: state %s, next seq %d, leader ship seq %d",
+						i, r.State(), r.NextSeq(), sh.ShipSeq())
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}
+}
+
+// TestTypedReplicaReplaysLeaderCommits is the leader/follower
+// equivalence check of the one commit step: a seeded stream mixing
+// pipelined and bulk plain chunks (with deletions), typed edges,
+// property writes and label defs is committed on a 2-shard leader set
+// with two followers per shard, and after every operation — at most one
+// shipped entry per shard — each follower's published view matches its
+// leader's store exactly: adjacency, labels, label table and properties.
+func TestTypedReplicaReplaysLeaderCommits(t *testing.T) {
+	cl := newTypedCluster(t, 2, 2, Config{})
+	s := rng.Stream(0x5EED_C0DE)
+	plain := difftest.Stream(8, 4000, 0.15, 7)
+	labels := []uint16{graph.DefaultLabel}
+	steps := 48
+	if testing.Short() {
+		steps = 24
+	}
+	for step := 0; step < steps; step++ {
+		var err error
+		switch op := s.Uint64n(5); op {
+		case 0, 1: // plain chunk: pipelined, or the bulk-load path
+			n := 1 + int(s.Uint64n(64))
+			chunk := plain[:min(n, len(plain))]
+			plain = plain[len(chunk):]
+			if op == 0 {
+				_, err = cl.Ingest(chunk, true)
+			} else {
+				_, err = cl.IngestLocal(chunk)
+			}
+		case 2: // typed edges, some with a short labels slice
+			n := 1 + int(s.Uint64n(48))
+			edges := make([]graph.Edge, n)
+			lbls := make([]uint16, n-int(s.Uint64n(2)))
+			for i := range edges {
+				edges[i] = graph.Edge{Src: graph.VID(s.Uint64n(256)), Dst: graph.VID(s.Uint64n(256))}
+			}
+			for i := range lbls {
+				lbls[i] = labels[s.Uint64n(uint64(len(labels)))]
+			}
+			_, err = cl.IngestTyped(edges, lbls, nil)
+		case 3: // property writes, last-write-wins
+			props := make([]graph.PropSet, 1+s.Uint64n(16))
+			for i := range props {
+				props[i] = graph.PropSet{V: graph.VID(s.Uint64n(256)), Key: uint16(1 + s.Uint64n(2)), Val: int64(s.Uint64n(100))}
+			}
+			_, err = cl.IngestTyped(nil, nil, props)
+		case 4: // label def broadcast
+			var id uint16
+			id, err = cl.RegisterLabel(fmt.Sprintf("l%d", step))
+			labels = append(labels, id)
+		}
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		waitShipped(t, cl)
+		for i := 0; i < cl.Shards(); i++ {
+			want := difftest.Read(cl.Shard(i).Store(), 1, 2)
+			for ri, r := range cl.Shard(i).Replicas() {
+				v, _, release := r.View()
+				err := difftest.Check(v, want, difftest.Opts{})
+				release()
+				if err != nil {
+					t.Fatalf("step %d: shard %d replica %d vs leader: %v", step, i, ri, err)
+				}
+			}
+		}
 	}
 }

@@ -161,9 +161,11 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 // ingest.DecodeBatch (DESIGN.md §10.1), extended with typed-edge and
 // property-set frames (§13.6). A plain batch — no typed frames — takes
 // the async-capable pipeline path exactly as before; a batch carrying
-// labels or property writes is applied synchronously under the owner
-// shards' locks (cluster.IngestTyped), because an edge's adjacency
-// record and its label must land in one lock window.
+// labels or property writes is committed synchronously on the owner
+// shards (cluster.IngestTyped), because an edge's adjacency record and
+// its label must land in one lock window. Both paths pass the same
+// per-shard admission check, so they answer shard_down, shutting_down
+// and circuit_open alike.
 func (s *Server) handleIngestBin(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "method_not_allowed", "use POST")
@@ -787,14 +789,9 @@ func (s *Server) handleLabels(w http.ResponseWriter, r *http.Request) {
 			case errors.Is(err, core.ErrNoProps):
 				httpError(w, http.StatusNotImplemented, "no_property_layer",
 					"this deployment was built without the property layer (core.Options.Props)")
-			case errors.Is(err, cluster.ErrShardDown):
-				var se *cluster.ShardError
-				shardID := -1
-				if errors.As(err, &se) {
-					shardID = se.Shard
-				}
-				httpShardError(w, http.StatusServiceUnavailable, "shard_down", shardID,
-					s.cl.EpochVector(), "label registration needs every shard up: %v", err)
+			case errors.Is(err, cluster.ErrShardDown), errors.Is(err, ingest.ErrShuttingDown):
+				// Registration needs every shard up and accepting writes.
+				s.writeIngestError(w, err)
 			default:
 				s.writeAdminError(w, "register label", err)
 			}

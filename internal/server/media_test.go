@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/pmem"
 	"repro/internal/xpsim"
@@ -16,7 +17,7 @@ import (
 
 // mediaServer builds a server over a MediaGuard store with fault
 // tracking armed, so tests can inject uncorrectable errors.
-func mediaServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *xpsim.Machine) {
+func mediaServer(t *testing.T, cfg Config, ccfg cluster.Config) (*Server, *httptest.Server, *xpsim.Machine) {
 	t.Helper()
 	m := xpsim.NewMachine(2, 256<<20, xpsim.DefaultLatency())
 	m.TrackFaults()
@@ -27,10 +28,7 @@ func mediaServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *xpsim.Ma
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(st, m, cfg)
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	srv, ts := serveStore(t, st, cfg, ccfg)
 	return srv, ts, m
 }
 
@@ -69,7 +67,7 @@ func TestRetryAfterGolden(t *testing.T) {
 // answer 503 media_error instead of wrong data, scrub, and watch the
 // store return to ok with the data intact.
 func TestDegradedServing(t *testing.T) {
-	srv, ts, m := mediaServer(t, Config{QueryThreads: 4})
+	srv, ts, m := mediaServer(t, Config{QueryThreads: 4}, cluster.Config{})
 
 	var edges []EdgeJSON
 	for i := uint32(0); i < 8; i++ {
@@ -133,7 +131,7 @@ func TestDegradedServing(t *testing.T) {
 // flips to 503 readonly, writes are refused as media errors and trip the
 // circuit breaker, analytics are suspended, and revival restores service.
 func TestNodeFailureReadonly(t *testing.T) {
-	_, ts, m := mediaServer(t, Config{QueryThreads: 4, BreakerThreshold: 2, BreakerCooldown: time.Hour})
+	_, ts, m := mediaServer(t, Config{QueryThreads: 4}, cluster.Config{BreakerThreshold: 2, BreakerCooldown: time.Hour})
 
 	do(t, "POST", ts.URL+"/v1/edges", EdgesRequest{Edges: []EdgeJSON{{Src: 1, Dst: 2}}}, nil)
 	m.Faults().FailNode(1)
@@ -213,7 +211,7 @@ func doRaw(t *testing.T, method, url string, body any) rawResult {
 // TestRequestTimeout pins the deadline satellite: a request running past
 // Config.RequestTimeout answers 503 with the deadline_exceeded envelope.
 func TestRequestTimeout(t *testing.T) {
-	_, ts := testServerCfg(t, Config{QueryThreads: 4, RequestTimeout: 50 * time.Millisecond, batchDelay: 300 * time.Millisecond, BatchEdges: 2})
+	_, ts := testServerCfg(t, Config{QueryThreads: 4, RequestTimeout: 50 * time.Millisecond}, cluster.Config{BatchDelay: 300 * time.Millisecond, BatchEdges: 2})
 
 	// A 3-chunk synchronous ingest sleeps 2x300ms between chunks — well
 	// past the 50ms deadline.

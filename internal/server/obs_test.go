@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 func scrape(t *testing.T, url, accept string) (string, string) {
@@ -87,7 +89,7 @@ func TestPrometheusScrape(t *testing.T) {
 // disagrees with accepted - applied - dropped. Run under -race this also
 // pins the counters' synchronization.
 func TestMetricsConsistentUnderIngest(t *testing.T) {
-	_, ts := testServerCfg(t, Config{QueryThreads: 4, QueueCap: 1 << 14, BatchEdges: 64})
+	_, ts := testServerCfg(t, Config{QueryThreads: 4}, cluster.Config{QueueCap: 1 << 14, BatchEdges: 64})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -191,7 +193,7 @@ func TestTraceEndpoint(t *testing.T) {
 // TestGracefulShutdown: Shutdown applies every accepted async write,
 // flushes vertex buffers, and fences new writes with 503.
 func TestGracefulShutdown(t *testing.T) {
-	srv, ts := testServerCfg(t, Config{QueryThreads: 4, QueueCap: 1 << 14, BatchEdges: 128})
+	srv, ts := testServerCfg(t, Config{QueryThreads: 4}, cluster.Config{QueueCap: 1 << 14, BatchEdges: 128})
 	accepted := int64(0)
 	for i := uint32(0); i < 20; i++ {
 		var edges []EdgeJSON

@@ -24,11 +24,13 @@
 //	GET  /v1/labels                                                the edge-label table
 //	POST /v1/labels           {"name":"follows"}                   register an edge label
 //
-// The serving backend is an internal/cluster.Cluster: New wraps a single
-// store in a degenerate one-shard cluster (the classic single-box
-// deployment), NewCluster serves a partitioned one — same routes, same
-// payloads, because every read goes through the one view.Source surface
-// (cluster.ClusterView) and every write goes through the cluster router.
+// The serving backend is an internal/cluster.Cluster, built and
+// configured by the caller and served by NewCluster; the classic
+// single-box deployment is a one-shard cluster. Every shard count gets
+// the same routes and payloads, because every read goes through the one
+// view.Source surface (cluster.ClusterView) and every write goes through
+// the cluster router. Config holds only HTTP-layer settings; pipeline,
+// breaker and replication knobs live in cluster.Config alone.
 //
 // # Concurrency model
 //
@@ -40,9 +42,13 @@
 // is full the server sheds load with 429 + Retry-After instead of
 // blocking. By default a write responds after its edges are applied on
 // every owner shard (read-your-writes); `?async=1` returns 202 as soon
-// as every part is queued. Writes are per-shard atomic: a batch spanning
-// shards may land on some and be refused by others, and the error
-// envelope names the refusing shard.
+// as every part is queued. A binary batch carrying labels or property
+// writes is committed synchronously on its owner shards instead of
+// queued; apart from the queue it takes the plain path's every step —
+// the same per-shard admission check (503 shard_down, shutting_down or
+// circuit_open) and the same commit step. Writes are per-shard atomic:
+// a batch spanning shards may land on some and be refused by others,
+// and the error envelope names the refusing shard.
 //
 // POST /v1/ingest/bin is the allocation-free fast path: a
 // length-prefixed binary batch (Content-Type application/x-xpgraph-batch,
@@ -120,31 +126,19 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/xpsim"
 )
 
-// Config tunes the serving stack. The zero value is usable: every field
-// defaults to the value documented on it.
+// Config tunes the HTTP serving layer only. Everything below it — the
+// per-shard ingest pipelines, breakers and replication — is configured
+// once, in cluster.Config, when the cluster is built. The zero value is
+// usable: every field defaults to the value documented on it.
 type Config struct {
 	// QueryThreads is the simulated parallelism of /v1/query/* runs
 	// (default 8).
 	QueryThreads int
-	// QueueCap bounds each shard's ingest queue in edges; writes beyond
-	// it get 429 + Retry-After (default 1<<16).
-	QueueCap int
-	// BatchEdges caps how many edges one ingest batch applies under a
-	// shard's write lock before its snapshot is republished (default 4096).
-	BatchEdges int
-	// Linger is how long each shard's writer waits for more requests to
-	// fill a batch before applying a partial one (default 2ms).
-	Linger time.Duration
-	// FlushEvery periodically flushes all vertex buffers to PMEM from
-	// each shard's writer goroutine (0 disables; flushing still happens
-	// through the store's own archive thresholds and POST /v1/flush).
-	FlushEvery time.Duration
 	// Tracer receives the stores' phase spans and backs GET /v1/trace.
 	// When nil the server uses the first store's attached tracer, or
 	// creates a default bounded ring so /v1/trace always works.
@@ -152,40 +146,15 @@ type Config struct {
 	// RequestTimeout bounds every request; one that runs past it answers
 	// 503 deadline_exceeded (0 disables).
 	RequestTimeout time.Duration
-	// ScrubEvery periodically runs a media scrub pass from each shard's
-	// writer goroutine — MediaGuard stores only (0 disables; POST
-	// /v1/scrub always works).
-	ScrubEvery time.Duration
-	// BreakerThreshold is how many consecutive media-write failures open
-	// a shard's ingest circuit breaker (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long a breaker stays open before admitting
-	// a half-open probe write (default 5s).
-	BreakerCooldown time.Duration
 	// MaxBodyBytes bounds every write-request body via
 	// http.MaxBytesReader; oversized bodies answer 413 batch_too_large
 	// (default 32 MiB).
 	MaxBodyBytes int64
-	// Adaptive attaches the AIMD admission controller to every shard's
-	// ingest pipeline: BatchEdges/Linger/QueueCap become ceilings and
-	// the live knobs tune down under congestion (DESIGN.md §12.3).
-	Adaptive bool
-	// AdaptiveTarget overrides the controller's applied-batch latency
-	// target (default 2ms host time).
-	AdaptiveTarget time.Duration
-
-	// batchDelay is a test hook: sleep between batch applications,
-	// outside the write locks, so tests can observe reads completing
-	// while a multi-batch ingest is mid-flight.
-	batchDelay time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.QueryThreads <= 0 {
 		c.QueryThreads = 8
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 1 << 16
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
@@ -193,25 +162,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// clusterConfig maps the server's pipeline knobs onto the cluster's.
-func (c Config) clusterConfig() cluster.Config {
-	return cluster.Config{
-		QueueCap:         c.QueueCap,
-		BatchEdges:       c.BatchEdges,
-		Linger:           c.Linger,
-		FlushEvery:       c.FlushEvery,
-		ScrubEvery:       c.ScrubEvery,
-		BreakerThreshold: c.BreakerThreshold,
-		BreakerCooldown:  c.BreakerCooldown,
-		BatchDelay:       c.batchDelay,
-		Adaptive:         c.Adaptive,
-		AdaptiveTarget:   c.AdaptiveTarget,
-	}
-}
-
-// Server wraps a cluster with an http.Handler. Create with New (single
-// store) or NewCluster (partitioned), dispose with Close (stops the
-// ingest pipelines).
+// Server wraps a cluster with an http.Handler. Create with NewCluster,
+// dispose with Close (stops the ingest pipelines).
 type Server struct {
 	cfg Config
 	// cl is the serving backend: partitioning, pipelines, publications,
@@ -238,29 +190,12 @@ type Server struct {
 	httpReqs *obs.CounterVec
 }
 
-// New builds a server over a single store — a one-shard cluster — and
-// starts its ingest pipeline. The classic deployment, and bit-compatible
-// with the pre-cluster wire surface (scalar epochs gain a length-1
-// epoch_vector alongside).
-func New(store *core.Store, machine *xpsim.Machine, cfg Config) *Server {
-	cl, err := cluster.New([]*core.Store{store}, cfg.withDefaults().clusterConfig())
-	if err != nil {
-		panic(fmt.Sprintf("server: building one-shard cluster: %v", err))
-	}
-	return newServer(cl, machine, cfg)
-}
-
 // NewCluster builds a server over a pre-built, not-yet-started cluster
-// (its pipeline knobs were fixed at cluster.New; the server's own
-// pipeline fields are ignored here). The server takes ownership: Close/
-// Shutdown stop the cluster.
+// and starts it. A single-store deployment is a one-shard cluster. The
+// server takes ownership: Close/Shutdown stop the cluster.
 func NewCluster(cl *cluster.Cluster, cfg Config) *Server {
-	return newServer(cl, cl.Shard(0).Store().Machine(), cfg)
-}
-
-func newServer(cl *cluster.Cluster, machine *xpsim.Machine, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{cfg: cfg, cl: cl, machine: machine}
+	s := &Server{cfg: cfg, cl: cl, machine: cl.Shard(0).Store().Machine()}
 
 	// Attach the tracer before Start's first publications so even the
 	// initial snapshots' spans land in the ring.
@@ -362,7 +297,7 @@ func (s *Server) Shutdown() {
 }
 
 // Tracer returns the phase tracer the server records into (never nil;
-// New falls back to a default ring when none was configured).
+// NewCluster falls back to a default ring when none was configured).
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // ---- request/response shapes ----

@@ -9,16 +9,17 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/pmem"
 	"repro/internal/xpsim"
 )
 
 func testServer(t *testing.T) (*Server, *httptest.Server) {
-	return testServerCfg(t, Config{QueryThreads: 8})
+	return testServerCfg(t, Config{QueryThreads: 8}, cluster.Config{})
 }
 
-func testServerCfg(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func testServerCfg(t *testing.T, cfg Config, ccfg cluster.Config) (*Server, *httptest.Server) {
 	t.Helper()
 	m := xpsim.NewMachine(2, 256<<20, xpsim.DefaultLatency())
 	st, err := core.New(m, pmem.NewHeap(m), nil, core.Options{
@@ -27,7 +28,17 @@ func testServerCfg(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(st, m, cfg)
+	return serveStore(t, st, cfg, ccfg)
+}
+
+// serveStore serves st as a one-shard cluster built with ccfg.
+func serveStore(t *testing.T, st *core.Store, cfg Config, ccfg cluster.Config) (*Server, *httptest.Server) {
+	t.Helper()
+	cl, err := cluster.New([]*core.Store{st}, ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewCluster(cl, cfg)
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)

@@ -357,7 +357,6 @@ func newRunner(sc Scenario) (*runner, error) {
 
 	r.srv = server.NewCluster(cl, server.Config{
 		QueryThreads: 8,
-		QueueCap:     1 << 20,
 		Tracer:       obs.NewTracer(1 << 14),
 	})
 	r.rep = Report{

@@ -54,9 +54,12 @@ go test -run Crash -short ./internal/crashtest/ ./internal/core/ ./internal/elog
 echo "== cluster router + failover (-race)"
 # The partitioned-cluster suite under the race detector: the 4-shard
 # differential vs a single store, replica log-shipping convergence,
-# leader-kill failover (replica serving / typed degradation), and the
-# partition-map stability properties (DESIGN.md §11).
-go test -race -run 'TestCluster|TestFailover|TestReplica|TestShutdown|TestEpochVector|TestBreaker' ./internal/cluster/
+# leader-kill failover (replica serving / typed degradation), typed
+# writes through the shared commit step and admission check (followers
+# replaying every leader commit; typed writes refused after Shutdown
+# and shed by an open breaker), and the partition-map stability
+# properties (DESIGN.md §11).
+go test -race -run 'TestCluster|TestFailover|TestReplica|TestShutdown|TestEpochVector|TestBreaker|TestTyped' ./internal/cluster/
 go test -race -run 'TestHash64|TestOwner|TestSlot|TestSplit|TestNewSlotMap' ./internal/shard/
 
 echo "== chaos differential sweep (capped, -race)"
